@@ -114,31 +114,21 @@ func TestFaultFleetBuiltinMatchesExampleSpec(t *testing.T) {
 	}
 }
 
+// faultSpec wraps a "faults" block value in a minimal fleet spec.
+func faultSpec(faults string) string {
+	return `{"scenarios": [{"fleet": {"hosts": 2, "vcpus": 8, "mix": {"IOInt": 1},
+		"faults": ` + faults + `}}], "policies": ["xen"]}`
+}
+
+// faultErrorCases are malformed fault blocks.
+var faultErrorCases = []specErrorCase{
+	{"crash out of range", faultSpec(`{"crashes": [{"host": 7, "at_ms": 1}]}`), "targets host 7"},
+	{"bad factor", faultSpec(`{"degrades": [{"host": 0, "for_ms": 5, "factor": 2}]}`), "must be in (0, 1]"},
+	{"bad probability", faultSpec(`{"migration_fail_prob": 2}`), "must be in [0, 1]"},
+	{"bad exhaust policy", faultSpec(`{"recovery": {"on_exhaust": "panic"}}`), "on-exhaust"},
+	{"unknown key", faultSpec(`{"chaos_monkey": true}`), "chaos_monkey"},
+}
+
 func TestSpecFileFaultErrorPaths(t *testing.T) {
-	mk := func(faults string) string {
-		return `{"scenarios": [{"fleet": {"hosts": 2, "vcpus": 8, "mix": {"IOInt": 1},
-			"faults": ` + faults + `}}], "policies": ["xen"]}`
-	}
-	cases := []struct {
-		name   string
-		faults string
-		want   string
-	}{
-		{"crash out of range", `{"crashes": [{"host": 7, "at_ms": 1}]}`, "targets host 7"},
-		{"bad factor", `{"degrades": [{"host": 0, "for_ms": 5, "factor": 2}]}`, "must be in (0, 1]"},
-		{"bad probability", `{"migration_fail_prob": 2}`, "must be in [0, 1]"},
-		{"bad exhaust policy", `{"recovery": {"on_exhaust": "panic"}}`, "on-exhaust"},
-		{"unknown key", `{"chaos_monkey": true}`, "chaos_monkey"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			_, err := Parse([]byte(mk(c.faults)))
-			if err == nil {
-				t.Fatal("bad fault block accepted")
-			}
-			if !strings.Contains(err.Error(), c.want) {
-				t.Errorf("error %q does not mention %q", err, c.want)
-			}
-		})
-	}
+	checkSpecErrorsSub(t, faultErrorCases)
 }

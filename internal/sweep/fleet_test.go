@@ -65,64 +65,52 @@ func TestSpecFileFleetBlock(t *testing.T) {
 	}
 }
 
+// fleetErrorCases are malformed fleet blocks.
+var fleetErrorCases = []specErrorCase{
+	{
+		"zero hosts",
+		`{"scenarios": [{"fleet": {"hosts": 0, "vcpus": 8, "mix": {"IOInt": 1}}}], "policies": ["xen"]}`,
+		"at least one host",
+	},
+	{
+		"unknown placement",
+		`{"scenarios": [{"fleet": {"hosts": 2, "vcpus": 8, "placement": "round-robin", "mix": {"IOInt": 1}}}], "policies": ["xen"]}`,
+		"unknown placement",
+	},
+	{
+		"insane tenant weight",
+		`{"scenarios": [{"fleet": {"hosts": 2, "vcpus": 8, "tenants": {"a": -3}, "mix": {"IOInt": 1}}}], "policies": ["xen"]}`,
+		"must be positive",
+	},
+	{
+		"missing population",
+		`{"scenarios": [{"fleet": {"hosts": 2, "mix": {"IOInt": 1}}}], "policies": ["xen"]}`,
+		"vCPU budget",
+	},
+	{
+		"unknown mix type",
+		`{"scenarios": [{"fleet": {"hosts": 2, "vcpus": 8, "mix": {"TurboBoost": 1}}}], "policies": ["xen"]}`,
+		"unknown",
+	},
+	{
+		"fleet plus name",
+		`{"scenarios": [{"name": "S1", "fleet": {"hosts": 2, "vcpus": 8, "mix": {"IOInt": 1}}}], "policies": ["xen"]}`,
+		"combines a fleet block",
+	},
+	{
+		"fleet plus gen",
+		`{"scenarios": [{"gen": {"vcpus": 8, "mix": {"IOInt": 1}}, "fleet": {"hosts": 2, "vcpus": 8, "mix": {"IOInt": 1}}}], "policies": ["xen"]}`,
+		"combines a fleet block",
+	},
+	{
+		"unknown fleet key",
+		`{"scenarios": [{"fleet": {"hosts": 2, "vcpus": 8, "mix": {"IOInt": 1}, "hypervisor": "kvm"}}], "policies": ["xen"]}`,
+		"hypervisor",
+	},
+}
+
 func TestSpecFileFleetErrorPaths(t *testing.T) {
-	cases := []struct {
-		name string
-		json string
-		want string
-	}{
-		{
-			"zero hosts",
-			`{"scenarios": [{"fleet": {"hosts": 0, "vcpus": 8, "mix": {"IOInt": 1}}}], "policies": ["xen"]}`,
-			"at least one host",
-		},
-		{
-			"unknown placement",
-			`{"scenarios": [{"fleet": {"hosts": 2, "vcpus": 8, "placement": "round-robin", "mix": {"IOInt": 1}}}], "policies": ["xen"]}`,
-			"unknown placement",
-		},
-		{
-			"insane tenant weight",
-			`{"scenarios": [{"fleet": {"hosts": 2, "vcpus": 8, "tenants": {"a": -3}, "mix": {"IOInt": 1}}}], "policies": ["xen"]}`,
-			"must be positive",
-		},
-		{
-			"missing population",
-			`{"scenarios": [{"fleet": {"hosts": 2, "mix": {"IOInt": 1}}}], "policies": ["xen"]}`,
-			"vCPU budget",
-		},
-		{
-			"unknown mix type",
-			`{"scenarios": [{"fleet": {"hosts": 2, "vcpus": 8, "mix": {"TurboBoost": 1}}}], "policies": ["xen"]}`,
-			"unknown",
-		},
-		{
-			"fleet plus name",
-			`{"scenarios": [{"name": "S1", "fleet": {"hosts": 2, "vcpus": 8, "mix": {"IOInt": 1}}}], "policies": ["xen"]}`,
-			"combines a fleet block",
-		},
-		{
-			"fleet plus gen",
-			`{"scenarios": [{"gen": {"vcpus": 8, "mix": {"IOInt": 1}}, "fleet": {"hosts": 2, "vcpus": 8, "mix": {"IOInt": 1}}}], "policies": ["xen"]}`,
-			"combines a fleet block",
-		},
-		{
-			"unknown fleet key",
-			`{"scenarios": [{"fleet": {"hosts": 2, "vcpus": 8, "mix": {"IOInt": 1}, "hypervisor": "kvm"}}], "policies": ["xen"]}`,
-			"hypervisor",
-		},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			_, err := Parse([]byte(c.json))
-			if err == nil {
-				t.Fatal("bad fleet spec accepted")
-			}
-			if !strings.Contains(err.Error(), c.want) {
-				t.Errorf("error %q does not mention %q", err, c.want)
-			}
-		})
-	}
+	checkSpecErrorsSub(t, fleetErrorCases)
 }
 
 // TestFleetSweepDeterminism: fleet sweep artifacts must be byte-

@@ -124,41 +124,31 @@ func TestSpecFileTopologyOverride(t *testing.T) {
 	}
 }
 
-// TestSpecFileErrorPaths: every malformed spec must fail the parse with
+// specFileErrorCases are malformed specs that must fail the parse with
 // a useful error, never a panic at run time.
+var specFileErrorCases = []specErrorCase{
+	{"unknown scenario", `{"scenarios":["S9"],"policies":["xen"]}`, "S9"},
+	{"unknown policy", `{"scenarios":["S1"],"policies":["frob"]}`, "frob"},
+	{"unknown topology override", `{"scenarios":[{"name":"S1","topology":"cray-1"}],"policies":["xen"]}`, "cray-1"},
+	{"unknown gen topology", `{"scenarios":[{"gen":{"vcpus":8,"mix":{"LLCF":1},"topology":"cray-1"}}],"policies":["xen"]}`, "cray-1"},
+	{"missing mix", `{"scenarios":[{"gen":{"vcpus":8}}],"policies":["xen"]}`, "mix"},
+	{"bad mix type", `{"scenarios":[{"gen":{"vcpus":8,"mix":{"IOBound":1}}}],"policies":["xen"]}`, "IOBound"},
+	{"bad mix weight", `{"scenarios":[{"gen":{"vcpus":8,"mix":{"IOInt":-1}}}],"policies":["xen"]}`, "positive"},
+	{"zero vcpus", `{"scenarios":[{"gen":{"mix":{"IOInt":1}}}],"policies":["xen"]}`, "vCPU"},
+	{"unknown pinned app", `{"scenarios":[{"gen":{"vcpus":8,"mix":{"IOInt":1},"apps":["quake3"]}}],"policies":["xen"]}`, "quake3"},
+	{"empty scenario entry", `{"scenarios":[{}],"policies":["xen"]}`, "no generator"},
+	{"name plus gen", `{"scenarios":[{"name":"S1","gen":{"vcpus":8,"mix":{"IOInt":1}}}],"policies":["xen"]}`, "both"},
+	{"entry topology plus gen", `{"scenarios":[{"topology":"xeon-e5-4603","gen":{"vcpus":8,"mix":{"IOInt":1}}}],"policies":["xen"]}`, "inside the generator block"},
+	{"unknown top-level key", `{"scenarioz":["S1"],"policies":["xen"]}`, "scenarioz"},
+	{"typo in topology builder", `{"topologies":{"t":{"sockets":1,"cores_per_socket":4,"llcmb":24}},"scenarios":["S1"],"policies":["xen"]}`, "llcmb"},
+	{"typo in gen block", `{"scenarios":[{"gen":{"vcpus":8,"mix":{"IOInt":1},"over_sub":8}}],"policies":["xen"]}`, "over_sub"},
+	{"typo in scenario ref", `{"scenarios":[{"nam":"S1"}],"policies":["xen"]}`, "nam"},
+	{"bad inline topology", `{"topologies":{"t":{"sockets":0,"cores_per_socket":4}},"scenarios":[{"gen":{"vcpus":8,"mix":{"IOInt":1},"topology":"t"}}],"policies":["xen"]}`, "socket"},
+	{"fixed oversubscribed budget", `{"scenarios":[{"gen":{"vcpus":1,"mix":{"IOInt":1},"apps":["facesim"]}}],"policies":["xen"]}`, "budget"},
+}
+
 func TestSpecFileErrorPaths(t *testing.T) {
-	cases := []struct {
-		name, json, wantErr string
-	}{
-		{"unknown scenario", `{"scenarios":["S9"],"policies":["xen"]}`, "S9"},
-		{"unknown policy", `{"scenarios":["S1"],"policies":["frob"]}`, "frob"},
-		{"unknown topology override", `{"scenarios":[{"name":"S1","topology":"cray-1"}],"policies":["xen"]}`, "cray-1"},
-		{"unknown gen topology", `{"scenarios":[{"gen":{"vcpus":8,"mix":{"LLCF":1},"topology":"cray-1"}}],"policies":["xen"]}`, "cray-1"},
-		{"missing mix", `{"scenarios":[{"gen":{"vcpus":8}}],"policies":["xen"]}`, "mix"},
-		{"bad mix type", `{"scenarios":[{"gen":{"vcpus":8,"mix":{"IOBound":1}}}],"policies":["xen"]}`, "IOBound"},
-		{"bad mix weight", `{"scenarios":[{"gen":{"vcpus":8,"mix":{"IOInt":-1}}}],"policies":["xen"]}`, "positive"},
-		{"zero vcpus", `{"scenarios":[{"gen":{"mix":{"IOInt":1}}}],"policies":["xen"]}`, "vCPU"},
-		{"unknown pinned app", `{"scenarios":[{"gen":{"vcpus":8,"mix":{"IOInt":1},"apps":["quake3"]}}],"policies":["xen"]}`, "quake3"},
-		{"empty scenario entry", `{"scenarios":[{}],"policies":["xen"]}`, "no generator"},
-		{"name plus gen", `{"scenarios":[{"name":"S1","gen":{"vcpus":8,"mix":{"IOInt":1}}}],"policies":["xen"]}`, "both"},
-		{"entry topology plus gen", `{"scenarios":[{"topology":"xeon-e5-4603","gen":{"vcpus":8,"mix":{"IOInt":1}}}],"policies":["xen"]}`, "inside the generator block"},
-		{"unknown top-level key", `{"scenarioz":["S1"],"policies":["xen"]}`, "scenarioz"},
-		{"typo in topology builder", `{"topologies":{"t":{"sockets":1,"cores_per_socket":4,"llcmb":24}},"scenarios":["S1"],"policies":["xen"]}`, "llcmb"},
-		{"typo in gen block", `{"scenarios":[{"gen":{"vcpus":8,"mix":{"IOInt":1},"over_sub":8}}],"policies":["xen"]}`, "over_sub"},
-		{"typo in scenario ref", `{"scenarios":[{"nam":"S1"}],"policies":["xen"]}`, "nam"},
-		{"bad inline topology", `{"topologies":{"t":{"sockets":0,"cores_per_socket":4}},"scenarios":[{"gen":{"vcpus":8,"mix":{"IOInt":1},"topology":"t"}}],"policies":["xen"]}`, "socket"},
-		{"fixed oversubscribed budget", `{"scenarios":[{"gen":{"vcpus":1,"mix":{"IOInt":1},"apps":["facesim"]}}],"policies":["xen"]}`, "budget"},
-	}
-	for _, tc := range cases {
-		_, err := Parse([]byte(tc.json))
-		if err == nil {
-			t.Errorf("%s: accepted", tc.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
-		}
-	}
+	checkSpecErrors(t, specFileErrorCases)
 }
 
 // TestSpecFileGenSeedIndependence: the generator seed fixes the
@@ -291,29 +281,24 @@ func TestSpecFileDynamicBlocks(t *testing.T) {
 	}
 }
 
+// dynErrorCases are malformed phase and churn blocks.
+var dynErrorCases = []specErrorCase{
+	{"unknown phase type", `{"name":"x","scenarios":[{"gen":{"vcpus":4,"mix":{"LoLCF":1},
+		"phases":[{"type":"Bogus","ms":400},{"type":"LoLCF","ms":400}]}}],"policies":["xen"]}`, ""},
+	{"single phase", `{"name":"x","scenarios":[{"gen":{"vcpus":4,"mix":{"LoLCF":1},
+		"phases":[{"type":"LoLCF","ms":400}]}}],"policies":["xen"]}`, ""},
+	{"conspin phase", `{"name":"x","scenarios":[{"gen":{"vcpus":4,"mix":{"LoLCF":1},
+		"phases":[{"type":"ConSpin","ms":400},{"type":"LoLCF","ms":400}]}}],"policies":["xen"]}`, ""},
+	{"churn without horizon", `{"name":"x","scenarios":[{"gen":{"vcpus":4,"mix":{"LoLCF":1},
+		"churn":{"rate_per_sec":2,"mean_life_ms":500}}}],"policies":["xen"]}`, ""},
+	{"churn unknown key", `{"name":"x","scenarios":[{"gen":{"vcpus":4,"mix":{"LoLCF":1},
+		"churn":{"rate_per_sec":2,"mean_life_ms":500,"horizon_ms":800,"oops":1}}}],"policies":["xen"]}`, ""},
+	{"negative phase ms", `{"name":"x","scenarios":[{"gen":{"vcpus":4,"mix":{"LoLCF":1},
+		"phases":[{"type":"LoLCF","ms":-5},{"type":"LLCO","ms":400}]}}],"policies":["xen"]}`, ""},
+}
+
 func TestSpecFileDynamicErrorPaths(t *testing.T) {
-	cases := []struct {
-		name string
-		json string
-	}{
-		{"unknown phase type", `{"name":"x","scenarios":[{"gen":{"vcpus":4,"mix":{"LoLCF":1},
-			"phases":[{"type":"Bogus","ms":400},{"type":"LoLCF","ms":400}]}}],"policies":["xen"]}`},
-		{"single phase", `{"name":"x","scenarios":[{"gen":{"vcpus":4,"mix":{"LoLCF":1},
-			"phases":[{"type":"LoLCF","ms":400}]}}],"policies":["xen"]}`},
-		{"conspin phase", `{"name":"x","scenarios":[{"gen":{"vcpus":4,"mix":{"LoLCF":1},
-			"phases":[{"type":"ConSpin","ms":400},{"type":"LoLCF","ms":400}]}}],"policies":["xen"]}`},
-		{"churn without horizon", `{"name":"x","scenarios":[{"gen":{"vcpus":4,"mix":{"LoLCF":1},
-			"churn":{"rate_per_sec":2,"mean_life_ms":500}}}],"policies":["xen"]}`},
-		{"churn unknown key", `{"name":"x","scenarios":[{"gen":{"vcpus":4,"mix":{"LoLCF":1},
-			"churn":{"rate_per_sec":2,"mean_life_ms":500,"horizon_ms":800,"oops":1}}}],"policies":["xen"]}`},
-		{"negative phase ms", `{"name":"x","scenarios":[{"gen":{"vcpus":4,"mix":{"LoLCF":1},
-			"phases":[{"type":"LoLCF","ms":-5},{"type":"LLCO","ms":400}]}}],"policies":["xen"]}`},
-	}
-	for _, c := range cases {
-		if _, err := Parse([]byte(c.json)); err == nil {
-			t.Errorf("%s: accepted", c.name)
-		}
-	}
+	checkSpecErrors(t, dynErrorCases)
 }
 
 // TestSweepDynamicDeterminism extends the subsystem's core guarantee
@@ -494,31 +479,21 @@ func TestSpecFilePolicyBlocks(t *testing.T) {
 	}
 }
 
-// TestSpecFilePolicyBlockErrors: malformed policy entries fail with
-// errors naming the problem, not silently skewing the axis.
+// policyBlockErrorCases are malformed policy entries: each fails with an
+// error naming the problem, not silently skewing the axis.
+var policyBlockErrorCases = []specErrorCase{
+	{"missing name", `{"scenarios":["S1"],"policies":[{"policy":{"params":{"q":"5ms"}}}]}`, "name"},
+	{"empty block", `{"scenarios":["S1"],"policies":[{}]}`, "policy"},
+	{"typo at entry level", `{"scenarios":["S1"],"policies":[{"polcy":{"name":"xen"}}]}`, "polcy"},
+	{"typo in block", `{"scenarios":["S1"],"policies":[{"policy":{"name":"xen","prams":{}}}]}`, "prams"},
+	{"unknown policy", `{"scenarios":["S1"],"policies":[{"policy":{"name":"frob"}}]}`, "frob"},
+	{"unknown param", `{"scenarios":["S1"],"policies":[{"policy":{"name":"aql","params":{"widnow":4}}}]}`, "widnow"},
+	{"out of range", `{"scenarios":["S1"],"policies":[{"policy":{"name":"aql","params":{"window":65}}}]}`, "65"},
+	{"numeric duration", `{"scenarios":["S1"],"policies":[{"policy":{"name":"fixed","params":{"q":5}}}]}`, "duration"},
+	{"missing required", `{"scenarios":["S1"],"policies":[{"policy":{"name":"edf"}}]}`, "deadline"},
+	{"args in block name", `{"scenarios":["S1"],"policies":[{"policy":{"name":"fixed:5ms"}}]}`, "params"},
+}
+
 func TestSpecFilePolicyBlockErrors(t *testing.T) {
-	cases := []struct {
-		name, json, wantErr string
-	}{
-		{"missing name", `{"scenarios":["S1"],"policies":[{"policy":{"params":{"q":"5ms"}}}]}`, "name"},
-		{"empty block", `{"scenarios":["S1"],"policies":[{}]}`, "policy"},
-		{"typo at entry level", `{"scenarios":["S1"],"policies":[{"polcy":{"name":"xen"}}]}`, "polcy"},
-		{"typo in block", `{"scenarios":["S1"],"policies":[{"policy":{"name":"xen","prams":{}}}]}`, "prams"},
-		{"unknown policy", `{"scenarios":["S1"],"policies":[{"policy":{"name":"frob"}}]}`, "frob"},
-		{"unknown param", `{"scenarios":["S1"],"policies":[{"policy":{"name":"aql","params":{"widnow":4}}}]}`, "widnow"},
-		{"out of range", `{"scenarios":["S1"],"policies":[{"policy":{"name":"aql","params":{"window":65}}}]}`, "65"},
-		{"numeric duration", `{"scenarios":["S1"],"policies":[{"policy":{"name":"fixed","params":{"q":5}}}]}`, "duration"},
-		{"missing required", `{"scenarios":["S1"],"policies":[{"policy":{"name":"edf"}}]}`, "deadline"},
-		{"args in block name", `{"scenarios":["S1"],"policies":[{"policy":{"name":"fixed:5ms"}}]}`, "params"},
-	}
-	for _, tc := range cases {
-		_, err := Parse([]byte(tc.json))
-		if err == nil {
-			t.Errorf("%s: accepted", tc.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
-		}
-	}
+	checkSpecErrors(t, policyBlockErrorCases)
 }
