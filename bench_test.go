@@ -175,14 +175,14 @@ func fleet100Spec() fleet.Spec {
 		},
 		Churn: &scenario.ChurnSpec{
 			Rate:         40,
-			MeanLifetime: 400 * sim.Millisecond,
-			MinLifetime:  100 * sim.Millisecond,
-			Horizon:      900 * sim.Millisecond,
+			MeanLifetime: sim.Millis(400 * sim.Millisecond),
+			MinLifetime:  sim.Millis(100 * sim.Millisecond),
+			Horizon:      sim.Millis(900 * sim.Millisecond),
 		},
 		Rebalance: fleet.Rebalance{
-			Every:         100 * sim.Millisecond,
+			Every:         sim.Millis(100 * sim.Millisecond),
 			Threshold:     0.05,
-			MigrationTime: 40 * sim.Millisecond,
+			MigrationTime: sim.Millis(40 * sim.Millisecond),
 			MaxPerTick:    8,
 		},
 		Warmup:  300 * sim.Millisecond,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"aqlsched/internal/catalog"
 	"aqlsched/internal/report"
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/sim"
@@ -78,7 +79,7 @@ func Fig5Suite(cfg Config) []workload.AppSpec {
 // application, one fixed-quantum policy per swept quantum, normalized
 // over the 30 ms default.
 func Fig5Sweep(cfg Config) *sweep.Spec {
-	base := sweep.FixedPolicy(30 * sim.Millisecond)
+	base := catalog.FixedPolicy(30 * sim.Millisecond)
 	sp := &sweep.Spec{
 		Name:     "fig5",
 		Policies: []sweep.Policy{base},
@@ -86,7 +87,7 @@ func Fig5Sweep(cfg Config) *sweep.Spec {
 		BaseSeed: cfg.seed(),
 	}
 	for _, q := range Fig5Quanta() {
-		sp.Policies = append(sp.Policies, sweep.FixedPolicy(q))
+		sp.Policies = append(sp.Policies, catalog.FixedPolicy(q))
 	}
 	for _, app := range Fig5Suite(cfg) {
 		app := app
@@ -108,7 +109,7 @@ func Fig5(cfg Config) *Fig5Result {
 	for _, app := range Fig5Suite(cfg) {
 		a := Fig5App{Name: app.Name, Expected: app.Expected, Norm: map[sim.Time]float64{}}
 		for _, q := range Fig5Quanta() {
-			cell := res.Cell("colo-"+app.Name, sweep.FixedPolicy(q).Name)
+			cell := res.Cell("colo-"+app.Name, catalog.FixedPolicy(q).Name)
 			if n := cell.App(app.Name).Norm(); n != nil {
 				a.Norm[q] = n.Mean
 			}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"sort"
 
+	"aqlsched/internal/catalog"
 	"aqlsched/internal/report"
 	"aqlsched/internal/sweep"
 )
@@ -31,13 +32,13 @@ func Fig8Sweep(cfg Config) *sweep.Spec {
 		Name:      "fig8",
 		Scenarios: []sweep.Scenario{mustScenario("S5")},
 		Policies: []sweep.Policy{
-			sweep.XenPolicy(),
-			sweep.VTurboPolicy(),
-			sweep.MicroslicedPolicy(),
-			sweep.VSlicerPolicy(),
-			sweep.AQLPolicy(),
+			catalog.XenPolicy(),
+			catalog.VTurboPolicy(),
+			catalog.MicroslicedPolicy(),
+			catalog.VSlicerPolicy(),
+			catalog.AQLPolicy(),
 		},
-		Baseline: sweep.XenPolicy().Name,
+		Baseline: catalog.XenPolicy().Name,
 		BaseSeed: cfg.seed(),
 		Warmup:   warm,
 		Measure:  meas,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"aqlsched/internal/catalog"
 	"aqlsched/internal/report"
 	"aqlsched/internal/sim"
 	"aqlsched/internal/sweep"
@@ -67,11 +68,11 @@ func perVMNorm(measured, base *sweep.RunResult) map[string]float64 {
 // 7 ConSpin- vCPUs on three guest sockets) under default Xen and AQL,
 // reporting normalized performance per cluster as the paper does.
 func Fig6Right(cfg Config) *Fig6RightResult {
-	sp := FourSocketSweep(cfg, "fig6-right", sweep.XenPolicy().Name,
-		[]sweep.Policy{sweep.XenPolicy(), sweep.AQLPolicy()})
+	sp := FourSocketSweep(cfg, "fig6-right", catalog.XenPolicy().Name,
+		[]sweep.Policy{catalog.XenPolicy(), catalog.AQLPolicy()})
 	res := mustSweep(sp, sweep.Options{})
-	base := res.RunFor("four-socket", sweep.XenPolicy().Name, 0)
-	aql := res.RunFor("four-socket", sweep.AQLPolicy().Name, 0)
+	base := res.RunFor("four-socket", catalog.XenPolicy().Name, 0)
+	aql := res.RunFor("four-socket", catalog.AQLPolicy().Name, 0)
 
 	// Per-VM normalized performance.
 	norm := perVMNorm(aql, base)
@@ -148,13 +149,13 @@ func Fig7(cfg Config) *Fig7Result {
 		{"medium (30ms)", 30 * sim.Millisecond},
 		{"large (90ms)", 90 * sim.Millisecond},
 	}
-	pols := []sweep.Policy{sweep.AQLPolicy()}
+	pols := []sweep.Policy{catalog.AQLPolicy()}
 	for _, cse := range cases {
-		pols = append(pols, sweep.AQLNoCustomPolicy(cse.q))
+		pols = append(pols, catalog.AQLNoCustomPolicy(cse.q))
 	}
-	sp := FourSocketSweep(cfg, "fig7", sweep.AQLPolicy().Name, pols)
+	sp := FourSocketSweep(cfg, "fig7", catalog.AQLPolicy().Name, pols)
 	res := mustSweep(sp, sweep.Options{})
-	full := res.RunFor("four-socket", sweep.AQLPolicy().Name, 0)
+	full := res.RunFor("four-socket", catalog.AQLPolicy().Name, 0)
 	variantOf := map[string]string{}
 	for _, vm := range full.PerVM {
 		variantOf[vm.Name] = vm.Expected.String()

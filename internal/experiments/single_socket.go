@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"aqlsched/internal/catalog"
 	"aqlsched/internal/cluster"
 	"aqlsched/internal/report"
 	"aqlsched/internal/scenario"
@@ -34,8 +35,8 @@ func SingleSocketSweep(cfg Config) *sweep.Spec {
 	warm, meas := cfg.windows()
 	sp := &sweep.Spec{
 		Name:     "single-socket",
-		Policies: []sweep.Policy{sweep.XenPolicy(), sweep.AQLPolicy()},
-		Baseline: sweep.XenPolicy().Name,
+		Policies: []sweep.Policy{catalog.XenPolicy(), catalog.AQLPolicy()},
+		Baseline: catalog.XenPolicy().Name,
 		BaseSeed: cfg.seed(),
 		Warmup:   warm,
 		Measure:  meas,
@@ -54,7 +55,7 @@ func SingleSocket(cfg Config) *SingleSocketResult {
 	sp := SingleSocketSweep(cfg)
 	res := mustSweep(sp, sweep.Options{})
 	out := &SingleSocketResult{}
-	aqlName := sweep.AQLPolicy().Name
+	aqlName := catalog.AQLPolicy().Name
 	for _, sc := range sp.Scenarios {
 		oc := ScenarioOutcome{
 			Name:  sc.Name,

@@ -23,9 +23,9 @@ import (
 // every resident VM, and rejoins the fleet Down later (Down 0 = the
 // host never recovers).
 type Crash struct {
-	Host int
-	At   sim.Time
-	Down sim.Time
+	Host int        `json:"host"`
+	At   sim.Millis `json:"at_ms"`
+	Down sim.Millis `json:"down_ms,omitempty"`
 }
 
 // Degrade is one explicit transient-degradation event: from At until
@@ -33,10 +33,10 @@ type Crash struct {
 // (already-admitted VMs are not evicted; the host just stops accepting
 // load it could no longer serve).
 type Degrade struct {
-	Host   int
-	At     sim.Time
-	For    sim.Time
-	Factor float64
+	Host   int        `json:"host"`
+	At     sim.Millis `json:"at_ms"`
+	For    sim.Millis `json:"for_ms"`
+	Factor float64    `json:"factor"`
 }
 
 // Storm draws a Poisson schedule of fault events: arrivals at Rate per
@@ -45,12 +45,12 @@ type Degrade struct {
 // For a degrade storm, Factor is the capacity multiplier applied for
 // the event's duration. Max, when positive, caps the number of events.
 type Storm struct {
-	Rate     float64
-	Start    sim.Time
-	Horizon  sim.Time
-	MeanDown sim.Time
-	Factor   float64
-	Max      int
+	Rate     float64    `json:"rate_per_sec"`
+	Start    sim.Millis `json:"start_ms,omitempty"`
+	Horizon  sim.Millis `json:"horizon_ms"`
+	MeanDown sim.Millis `json:"mean_down_ms"`
+	Factor   float64    `json:"factor,omitempty"`
+	Max      int        `json:"max,omitempty"`
 }
 
 // Recovery parameterizes the re-placement of VMs lost to a host crash:
@@ -61,13 +61,13 @@ type Storm struct {
 // queue to wait for capacity, "drop" gives up and counts it lost.
 type Recovery struct {
 	// MaxRetries bounds the backoff attempts (default 5).
-	MaxRetries int
+	MaxRetries int `json:"max_retries,omitempty"`
 	// RetryDelay is the first retry's delay (default 10 ms).
-	RetryDelay sim.Time
+	RetryDelay sim.Millis `json:"retry_delay_ms,omitempty"`
 	// Backoff multiplies the delay per failed attempt (default 2).
-	Backoff float64
+	Backoff float64 `json:"backoff,omitempty"`
 	// OnExhaust is "requeue" or "drop" (default "requeue").
-	OnExhaust string
+	OnExhaust string `json:"on_exhaust,omitempty"`
 }
 
 func (r Recovery) withDefaults() Recovery {
@@ -75,7 +75,7 @@ func (r Recovery) withDefaults() Recovery {
 		r.MaxRetries = 5
 	}
 	if r.RetryDelay <= 0 {
-		r.RetryDelay = 10 * sim.Millisecond
+		r.RetryDelay = sim.Millis(10 * sim.Millisecond)
 	}
 	if r.Backoff == 0 {
 		r.Backoff = 2
@@ -93,19 +93,19 @@ func (r Recovery) withDefaults() Recovery {
 // of one spec share the storm exactly like they share the population.
 type FaultPlan struct {
 	// Seed drives the storm draws (default: the spec's GenSeed).
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// Crashes and Degrades are explicit, hand-placed events.
-	Crashes  []Crash
-	Degrades []Degrade
+	Crashes  []Crash   `json:"crashes,omitempty"`
+	Degrades []Degrade `json:"degrades,omitempty"`
 	// CrashStorm and DegradeStorm draw seeded random schedules.
-	CrashStorm   *Storm
-	DegradeStorm *Storm
+	CrashStorm   *Storm `json:"crash_storm,omitempty"`
+	DegradeStorm *Storm `json:"degrade_storm,omitempty"`
 	// MigFailProb fails each completing live migration with this
 	// probability (the VM stays where it was; the reservation is
 	// released).
-	MigFailProb float64
+	MigFailProb float64 `json:"migration_fail_prob,omitempty"`
 	// Recovery re-places VMs lost to crashes.
-	Recovery Recovery
+	Recovery Recovery `json:"recovery"`
 }
 
 func (p *FaultPlan) withDefaults(genSeed uint64) FaultPlan {
@@ -135,7 +135,7 @@ func validStorm(name, kind string, s *Storm, degrade bool) error {
 	if s.Max < 0 {
 		return fmt.Errorf("fleet %q: %s event cap must be non-negative, got %d", name, kind, s.Max)
 	}
-	if expected := s.Rate * (s.Horizon - s.Start).Seconds(); expected > maxStormEvents {
+	if expected := s.Rate * sim.Time(s.Horizon-s.Start).Seconds(); expected > maxStormEvents {
 		return fmt.Errorf("fleet %q: %s expects ~%.0f events, more than the %d sanity cap", name, kind, expected, maxStormEvents)
 	}
 	if degrade && (s.Factor <= 0 || s.Factor > 1 || math.IsNaN(s.Factor)) {
@@ -211,13 +211,13 @@ type faultEvent struct {
 func stormDraws(s *Storm, hosts int, crash bool, rng *sim.RNG) []faultEvent {
 	var out []faultEvent
 	meanInter := sim.Time(float64(sim.Second) / s.Rate)
-	at := s.Start
+	at := sim.Time(s.Start)
 	for k := 0; s.Max == 0 || k < s.Max; k++ {
 		at += rng.ExpTime(meanInter)
-		if at >= s.Horizon {
+		if at >= sim.Time(s.Horizon) {
 			break
 		}
-		dur := rng.ExpTime(s.MeanDown)
+		dur := rng.ExpTime(sim.Time(s.MeanDown))
 		if dur < sim.Millisecond {
 			dur = sim.Millisecond
 		}
@@ -236,13 +236,13 @@ func stormDraws(s *Storm, hosts int, crash bool, rng *sim.RNG) []faultEvent {
 func (p *FaultPlan) timeline(hosts int) []faultEvent {
 	var out []faultEvent
 	for _, c := range p.Crashes {
-		out = append(out, faultEvent{at: c.At, crash: true, host: c.Host, dur: c.Down})
+		out = append(out, faultEvent{at: sim.Time(c.At), crash: true, host: c.Host, dur: sim.Time(c.Down)})
 	}
 	if s := p.CrashStorm; s != nil {
 		out = append(out, stormDraws(s, hosts, true, sim.NewRNG(p.Seed).Fork(0xFA17))...)
 	}
 	for _, d := range p.Degrades {
-		out = append(out, faultEvent{at: d.At, host: d.Host, dur: d.For, factor: d.Factor})
+		out = append(out, faultEvent{at: sim.Time(d.At), host: d.Host, dur: sim.Time(d.For), factor: d.Factor})
 	}
 	if s := p.DegradeStorm; s != nil {
 		out = append(out, stormDraws(s, hosts, false, sim.NewRNG(p.Seed).Fork(0xDE64))...)

@@ -14,7 +14,7 @@ func TestCrashEvictsAndReplaces(t *testing.T) {
 	vms := []VMSpec{{App: cpuVM("a")}, {App: cpuVM("b")}}
 	spec := explicitSpec("crash", 2, "least-loaded", vms)
 	spec.Faults = &FaultPlan{
-		Crashes: []Crash{{Host: 0, At: 10 * sim.Millisecond, Down: 10 * sim.Second}},
+		Crashes: []Crash{{Host: 0, At: sim.Millis(10 * sim.Millisecond), Down: sim.Millis(10 * sim.Second)}},
 	}
 	res := Run(spec, Options{})
 	f := res.Fleet
@@ -58,8 +58,8 @@ func TestCrashRecoveryExhaustion(t *testing.T) {
 	base := func() Spec {
 		spec := explicitSpec("exhaust", 1, "least-loaded", []VMSpec{{App: cpuVM("a")}})
 		spec.Faults = &FaultPlan{
-			Crashes:  []Crash{{Host: 0, At: 10 * sim.Millisecond}}, // Down 0 = never recovers
-			Recovery: Recovery{MaxRetries: 2, RetryDelay: 2 * sim.Millisecond, Backoff: 2, OnExhaust: "drop"},
+			Crashes:  []Crash{{Host: 0, At: sim.Millis(10 * sim.Millisecond)}}, // Down 0 = never recovers
+			Recovery: Recovery{MaxRetries: 2, RetryDelay: sim.Millis(2 * sim.Millisecond), Backoff: 2, OnExhaust: "drop"},
 		}
 		return spec
 	}
@@ -106,9 +106,9 @@ func TestMigrationFailureInjection(t *testing.T) {
 	vms := []VMSpec{{App: cpuVM("a")}, {App: cpuVM("b")}}
 	spec := explicitSpec("migfail", 2, "bin-pack", vms)
 	spec.Rebalance = Rebalance{
-		Every:         10 * sim.Millisecond,
+		Every:         sim.Millis(10 * sim.Millisecond),
 		Threshold:     0.03,
-		MigrationTime: 5 * sim.Millisecond,
+		MigrationTime: sim.Millis(5 * sim.Millisecond),
 		MaxPerTick:    1,
 	}
 	spec.Faults = &FaultPlan{MigFailProb: 1}
@@ -146,7 +146,7 @@ func TestDegradationBlocksAdmission(t *testing.T) {
 	spec := explicitSpec("degrade", 1, "least-loaded", vms)
 	spec.OverSub = 1
 	spec.Faults = &FaultPlan{
-		Degrades: []Degrade{{Host: 0, At: 0, For: 30 * sim.Millisecond, Factor: 0.25}},
+		Degrades: []Degrade{{Host: 0, At: 0, For: sim.Millis(30 * sim.Millisecond), Factor: 0.25}},
 	}
 	res := Run(spec, Options{})
 	f := res.Fleet
@@ -183,14 +183,14 @@ func TestCrashDuringMigrationReleasesReservation(t *testing.T) {
 	}
 	spec := explicitSpec("crashmig", 2, "bin-pack", vms)
 	spec.Rebalance = Rebalance{
-		Every:         10 * sim.Millisecond,
+		Every:         sim.Millis(10 * sim.Millisecond),
 		Threshold:     0.03,
-		MigrationTime: 40 * sim.Millisecond, // in flight from 10ms to 50ms
+		MigrationTime: sim.Millis(40 * sim.Millisecond), // in flight from 10ms to 50ms
 		MaxPerTick:    1,
 	}
 	spec.Faults = &FaultPlan{
-		Crashes:  []Crash{{Host: 0, At: 15 * sim.Millisecond}}, // Down 0 = permanent
-		Recovery: Recovery{MaxRetries: 5, RetryDelay: 4 * sim.Millisecond, Backoff: 2},
+		Crashes:  []Crash{{Host: 0, At: sim.Millis(15 * sim.Millisecond)}}, // Down 0 = permanent
+		Recovery: Recovery{MaxRetries: 5, RetryDelay: sim.Millis(4 * sim.Millisecond), Backoff: 2},
 	}
 	res := Run(spec, Options{})
 	f := res.Fleet
@@ -234,8 +234,8 @@ func TestStormDeterminismAndSeedSplit(t *testing.T) {
 		sp.Seed = seed
 		sp.GenSeed = 7
 		sp.Faults = &FaultPlan{
-			CrashStorm:   &Storm{Rate: 15, Start: 40 * sim.Millisecond, Horizon: 180 * sim.Millisecond, MeanDown: 30 * sim.Millisecond},
-			DegradeStorm: &Storm{Rate: 10, Horizon: 200 * sim.Millisecond, MeanDown: 50 * sim.Millisecond, Factor: 0.5},
+			CrashStorm:   &Storm{Rate: 15, Start: sim.Millis(40 * sim.Millisecond), Horizon: sim.Millis(180 * sim.Millisecond), MeanDown: sim.Millis(30 * sim.Millisecond)},
+			DegradeStorm: &Storm{Rate: 10, Horizon: sim.Millis(200 * sim.Millisecond), MeanDown: sim.Millis(50 * sim.Millisecond), Factor: 0.5},
 			MigFailProb:  0.3,
 		}
 		return sp
@@ -269,9 +269,9 @@ func TestFaultPlanValidation(t *testing.T) {
 		want string
 	}{
 		{"crash host range", FaultPlan{Crashes: []Crash{{Host: 9}}}, "targets host 9"},
-		{"degrade factor", FaultPlan{Degrades: []Degrade{{Host: 0, For: sim.Millisecond, Factor: 1.5}}}, "must be in (0, 1]"},
-		{"storm rate", FaultPlan{CrashStorm: &Storm{Rate: -1, Horizon: sim.Second, MeanDown: sim.Millisecond}}, "must be positive"},
-		{"storm blowup", FaultPlan{CrashStorm: &Storm{Rate: 1e12, Horizon: sim.Second, MeanDown: sim.Millisecond}}, "sanity cap"},
+		{"degrade factor", FaultPlan{Degrades: []Degrade{{Host: 0, For: sim.Millis(sim.Millisecond), Factor: 1.5}}}, "must be in (0, 1]"},
+		{"storm rate", FaultPlan{CrashStorm: &Storm{Rate: -1, Horizon: sim.Millis(sim.Second), MeanDown: sim.Millis(sim.Millisecond)}}, "must be positive"},
+		{"storm blowup", FaultPlan{CrashStorm: &Storm{Rate: 1e12, Horizon: sim.Millis(sim.Second), MeanDown: sim.Millis(sim.Millisecond)}}, "sanity cap"},
 		{"mig prob", FaultPlan{MigFailProb: 1.5}, "must be in [0, 1]"},
 		{"backoff", FaultPlan{Recovery: Recovery{Backoff: 0.5}}, "must be ≥ 1"},
 		{"exhaust", FaultPlan{Recovery: Recovery{OnExhaust: "explode"}}, "on-exhaust"},

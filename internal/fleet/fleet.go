@@ -343,8 +343,9 @@ func Run(spec Spec, opts Options) *Result {
 	// barrier, the rebalance ticks and the fault schedule are known up
 	// front, so the heap never regrows during the initial burst.
 	ticks := 0
-	if sp.Rebalance.Every > 0 {
-		ticks = int(f.end / sp.Rebalance.Every)
+	every := sim.Time(sp.Rebalance.Every)
+	if every > 0 {
+		ticks = int(f.end / every)
 	}
 	f.heap = make([]event, 0, 2*len(vms)+ticks+len(faultTimeline)+1)
 	f.VMs = make([]*VM, 0, len(vms))
@@ -356,7 +357,7 @@ func Run(spec Spec, opts Options) *Result {
 		f.push(event{at: vm.ArriveAt, kind: evArrive, vm: vm})
 	}
 	f.push(event{at: f.warmup, kind: evMeasureStart})
-	for t := sp.Rebalance.Every; t < f.end; t += sp.Rebalance.Every {
+	for t := every; t < f.end; t += every {
 		f.push(event{at: t, kind: evTick})
 	}
 	for _, fe := range faultTimeline {
@@ -687,7 +688,7 @@ func (f *Fleet) rebalance(now sim.Time) {
 		vm.migrating = true
 		dst.committed += vm.VCPUs()
 		dst.reserved += vm.VCPUs()
-		f.push(event{at: now + f.Spec.Rebalance.MigrationTime, kind: evMigDone, vm: vm, src: src, dst: dst, gen: vm.gen})
+		f.push(event{at: now + sim.Time(f.Spec.Rebalance.MigrationTime), kind: evMigDone, vm: vm, src: src, dst: dst, gen: vm.gen})
 	}
 }
 

@@ -143,9 +143,9 @@ func TestTeardownDuringMigrationAborts(t *testing.T) {
 	}
 	spec := explicitSpec("teardown", 2, "bin-pack", vms)
 	spec.Rebalance = Rebalance{
-		Every:         10 * sim.Millisecond,
+		Every:         sim.Millis(10 * sim.Millisecond),
 		Threshold:     0.03,
-		MigrationTime: 40 * sim.Millisecond,
+		MigrationTime: sim.Millis(40 * sim.Millisecond),
 		MaxPerTick:    2,
 	}
 	res := Run(spec, Options{})
@@ -187,14 +187,14 @@ func genFleetSpec() Spec {
 		},
 		Churn: &scenario.ChurnSpec{
 			Rate:         30,
-			MeanLifetime: 80 * sim.Millisecond,
-			MinLifetime:  20 * sim.Millisecond,
-			Horizon:      150 * sim.Millisecond,
+			MeanLifetime: sim.Millis(80 * sim.Millisecond),
+			MinLifetime:  sim.Millis(20 * sim.Millisecond),
+			Horizon:      sim.Millis(150 * sim.Millisecond),
 		},
 		Rebalance: Rebalance{
-			Every:         25 * sim.Millisecond,
+			Every:         sim.Millis(25 * sim.Millisecond),
 			Threshold:     0.08,
-			MigrationTime: 10 * sim.Millisecond,
+			MigrationTime: sim.Millis(10 * sim.Millisecond),
 			MaxPerTick:    4,
 		},
 		Warmup:  50 * sim.Millisecond,

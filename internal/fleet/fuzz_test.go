@@ -26,13 +26,13 @@ func FuzzFleetValidate(f *testing.F) {
 		Name: "faulty", Hosts: 8, OverSub: 2, Placement: "bin-pack",
 		VCPUs: 64, Mix: map[string]float64{"LLCF": 2, "ConSpin": 1},
 		Faults: &FaultPlan{
-			Crashes:  []Crash{{Host: 3, At: 10 * sim.Millisecond, Down: 50 * sim.Millisecond}},
-			Degrades: []Degrade{{Host: 1, For: 20 * sim.Millisecond, Factor: 0.5}},
+			Crashes:  []Crash{{Host: 3, At: sim.Millis(10 * sim.Millisecond), Down: sim.Millis(50 * sim.Millisecond)}},
+			Degrades: []Degrade{{Host: 1, For: sim.Millis(20 * sim.Millisecond), Factor: 0.5}},
 			CrashStorm: &Storm{
-				Rate: 5, Horizon: 500 * sim.Millisecond, MeanDown: 40 * sim.Millisecond,
+				Rate: 5, Horizon: sim.Millis(500 * sim.Millisecond), MeanDown: sim.Millis(40 * sim.Millisecond),
 			},
 			MigFailProb: 0.25,
-			Recovery:    Recovery{MaxRetries: 3, RetryDelay: 5 * sim.Millisecond, Backoff: 2, OnExhaust: "drop"},
+			Recovery:    Recovery{MaxRetries: 3, RetryDelay: sim.Millis(5 * sim.Millisecond), Backoff: 2, OnExhaust: "drop"},
 		},
 	})
 	f.Add([]byte(`{"Hosts": -1}`))

@@ -23,10 +23,10 @@ func stormFleetSpec() Spec {
 	sp.Name = "parallel-storm"
 	sp.GenSeed = 7
 	sp.Faults = &FaultPlan{
-		CrashStorm:   &Storm{Rate: 15, Start: 40 * sim.Millisecond, Horizon: 180 * sim.Millisecond, MeanDown: 30 * sim.Millisecond},
-		DegradeStorm: &Storm{Rate: 10, Horizon: 200 * sim.Millisecond, MeanDown: 50 * sim.Millisecond, Factor: 0.5},
+		CrashStorm:   &Storm{Rate: 15, Start: sim.Millis(40 * sim.Millisecond), Horizon: sim.Millis(180 * sim.Millisecond), MeanDown: sim.Millis(30 * sim.Millisecond)},
+		DegradeStorm: &Storm{Rate: 10, Horizon: sim.Millis(200 * sim.Millisecond), MeanDown: sim.Millis(50 * sim.Millisecond), Factor: 0.5},
 		MigFailProb:  0.3,
-		Recovery:     Recovery{MaxRetries: 3, RetryDelay: 5 * sim.Millisecond, Backoff: 2, OnExhaust: "requeue"},
+		Recovery:     Recovery{MaxRetries: 3, RetryDelay: sim.Millis(5 * sim.Millisecond), Backoff: 2, OnExhaust: "requeue"},
 	}
 	return sp
 }

@@ -51,26 +51,26 @@ type Tenant struct {
 // both hosts for MigrationTime before completing.
 type Rebalance struct {
 	// Every is the tick period (default 250 ms).
-	Every sim.Time
+	Every sim.Millis `json:"every_ms,omitempty"`
 	// Threshold is the load-fraction gap that triggers a migration
 	// (default 0.25; set ≥ 1 to disable migrations in a fully packed
 	// fleet).
-	Threshold float64
+	Threshold float64 `json:"threshold,omitempty"`
 	// MigrationTime models the live-migration transfer (default 40 ms).
-	MigrationTime sim.Time
+	MigrationTime sim.Millis `json:"migration_ms,omitempty"`
 	// MaxPerTick bounds migrations initiated per tick (default 2).
-	MaxPerTick int
+	MaxPerTick int `json:"max_per_tick,omitempty"`
 }
 
 func (r Rebalance) withDefaults() Rebalance {
 	if r.Every <= 0 {
-		r.Every = 250 * sim.Millisecond
+		r.Every = sim.Millis(250 * sim.Millisecond)
 	}
 	if r.Threshold == 0 {
 		r.Threshold = 0.25
 	}
 	if r.MigrationTime <= 0 {
-		r.MigrationTime = 40 * sim.Millisecond
+		r.MigrationTime = sim.Millis(40 * sim.Millisecond)
 	}
 	if r.MaxPerTick <= 0 {
 		r.MaxPerTick = 2
@@ -103,54 +103,60 @@ func (v VMSpec) VCPUs() int { return scenario.VCPUsOf(v.App) }
 // across seed replications, so baseline normalization pairs runs over
 // the same population — while Seed drives the per-host simulations and
 // varies per run.
+//
+// The JSON tags make Spec the schema of a spec file's {"fleet": {...}}
+// block. Fields tagged "-" are not spelled in spec files: the sweep
+// layer resolves Topo, Placement and Tenants from names and sets the
+// run windows and Seed per run.
 type Spec struct {
-	Name string
+	Name string `json:"name,omitempty"`
 	// Hosts is the number of hosts (≥ 1).
-	Hosts int
+	Hosts int `json:"hosts"`
 	// Topo is the per-host machine (nil = i7-3770). Every host runs a
 	// fresh copy.
-	Topo *hw.Topology
+	Topo *hw.Topology `json:"-"`
 	// OverSub is the admission ratio: each host accepts up to
 	// TotalPCPUs · OverSub vCPUs (default 3).
-	OverSub float64
+	OverSub float64 `json:"oversub,omitempty"`
 	// Placement names the placement policy (default "least-loaded").
-	Placement string
+	Placement string `json:"-"`
 	// Tenants lists the VM owners (default one tenant "t0", weight 1).
-	Tenants []Tenant
+	Tenants []Tenant `json:"-"`
 	// VCPUs is the initial population's vCPU budget across the fleet.
-	VCPUs int
+	VCPUs int `json:"vcpus"`
 	// Mix weights the generated VM types (required unless Explicit is
 	// set).
-	Mix map[string]float64
+	Mix map[string]float64 `json:"mix,omitempty"`
 	// Gen bounds the per-type knob draws (nil = workload defaults).
-	Gen *workload.GenConfig
+	Gen *workload.GenConfig `json:"-"`
 	// Churn adds Poisson VM arrivals with exponential lifetimes, drawn
 	// from GenSeed exactly like the scenario generator's churn.
-	Churn *scenario.ChurnSpec
+	Churn *scenario.ChurnSpec `json:"churn,omitempty"`
 	// Rebalance parameterizes the migration trigger.
-	Rebalance Rebalance
+	Rebalance Rebalance `json:"rebalance"`
 	// Faults, when non-nil, injects host crashes, transient degradation
 	// and migration failures on a seeded schedule (see FaultPlan).
-	Faults *FaultPlan
+	Faults *FaultPlan `json:"faults,omitempty"`
 	// Workers is an execution hint: the shard-worker count for this
 	// fleet's run loop (0 = GOMAXPROCS, 1 = serial; Options.Workers
 	// overrides it). It never influences results — artifacts are
 	// byte-identical at any value — it only tunes how many cores one
 	// run may use, e.g. from a spec file's {"fleet": {"workers": N}}.
-	Workers int
+	Workers int `json:"workers,omitempty"`
 	// Warmup and Measure window the run (defaults 500 ms / 1 s).
-	Warmup  sim.Time
-	Measure sim.Time
+	Warmup  sim.Time `json:"-"`
+	Measure sim.Time `json:"-"`
 	// Seed is the per-run simulation seed (sweeps override it per run).
-	Seed uint64
+	Seed uint64 `json:"-"`
 	// GenSeed drives the population draws (default: Seed of the spec as
 	// written — sweeps leave it alone so replications share the
-	// population).
-	GenSeed uint64
+	// population). Spec files spell it "seed" and default it to the
+	// file's base seed.
+	GenSeed uint64 `json:"seed,omitempty"`
 	// Explicit, when non-empty, is the exact VM timeline (tests and
 	// hand-authored fleets); no population is generated and Mix/VCPUs/
 	// Churn are ignored.
-	Explicit []VMSpec
+	Explicit []VMSpec `json:"-"`
 }
 
 func (s *Spec) withDefaults() Spec {
@@ -325,26 +331,23 @@ func (s *Spec) GenVMs() ([]VMSpec, error) {
 	if sp.Churn != nil {
 		c := *sp.Churn
 		if c.Start == 0 {
-			c.Start = 50 * sim.Millisecond
+			c.Start = sim.Millis(50 * sim.Millisecond)
 		}
 		if c.MinLifetime == 0 {
-			c.MinLifetime = 200 * sim.Millisecond
+			c.MinLifetime = sim.Millis(200 * sim.Millisecond)
 		}
 		crng := sim.NewRNG(sp.GenSeed).Fork(0xC4A2)
 		meanInter := sim.Time(float64(sim.Second) / c.Rate)
-		at := c.Start
+		at := sim.Time(c.Start)
 		for k := 0; c.MaxVMs == 0 || k < c.MaxVMs; k++ {
 			at += crng.ExpTime(meanInter)
-			if at >= c.Horizon {
+			if at >= sim.Time(c.Horizon) {
 				break
 			}
 			tenant := drawTenant(crng)
 			app := md.Draw(crng, uint64(k)+0x11)
 			app.Name = fmt.Sprintf("chn%02d-%s", k, app.Name)
-			life := crng.ExpTime(c.MeanLifetime)
-			if life < c.MinLifetime {
-				life = c.MinLifetime
-			}
+			life := max(crng.ExpTime(sim.Time(c.MeanLifetime)), sim.Time(c.MinLifetime))
 			out = append(out, VMSpec{ArriveAt: at, Lifetime: life, Tenant: tenant, App: app})
 		}
 	}

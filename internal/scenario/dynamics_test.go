@@ -127,7 +127,7 @@ func TestDynamicRunDeterminism(t *testing.T) {
 			{Dur: 400 * sim.Millisecond, Type: vcputype.LLCO},
 		},
 		PhaseProb: 0.5,
-		Churn:     &scenario.ChurnSpec{Rate: 3, MeanLifetime: 500 * sim.Millisecond, Horizon: 900 * sim.Millisecond},
+		Churn:     &scenario.ChurnSpec{Rate: 3, MeanLifetime: sim.Millis(500 * sim.Millisecond), Horizon: sim.Millis(900 * sim.Millisecond)},
 	}
 	run := func() *scenario.Result {
 		spec := gen.MustGenerate()
@@ -177,8 +177,8 @@ func TestGenSpecChurnAndPhaseGeneration(t *testing.T) {
 		},
 		PhaseProb: 1,
 		Churn: &scenario.ChurnSpec{
-			Rate: 5, MeanLifetime: 400 * sim.Millisecond,
-			Horizon: 2 * sim.Second, MaxVMs: 4,
+			Rate: 5, MeanLifetime: sim.Millis(400 * sim.Millisecond),
+			Horizon: sim.Millis(2 * sim.Second), MaxVMs: 4,
 		},
 	}
 	spec, err := gen.Generate()
@@ -247,20 +247,20 @@ func TestGenSpecDynamicValidation(t *testing.T) {
 			g.PhaseProb = 1.5
 		}},
 		{"churn without rate", func(g *scenario.GenSpec) {
-			g.Churn = &scenario.ChurnSpec{MeanLifetime: sim.Second, Horizon: sim.Second}
+			g.Churn = &scenario.ChurnSpec{MeanLifetime: sim.Millis(sim.Second), Horizon: sim.Millis(sim.Second)}
 		}},
 		{"churn without horizon", func(g *scenario.GenSpec) {
-			g.Churn = &scenario.ChurnSpec{Rate: 1, MeanLifetime: sim.Second}
+			g.Churn = &scenario.ChurnSpec{Rate: 1, MeanLifetime: sim.Millis(sim.Second)}
 		}},
 		{"churn horizon before start", func(g *scenario.GenSpec) {
-			g.Churn = &scenario.ChurnSpec{Rate: 1, MeanLifetime: sim.Second,
-				Start: 2 * sim.Second, Horizon: 1 * sim.Second}
+			g.Churn = &scenario.ChurnSpec{Rate: 1, MeanLifetime: sim.Millis(sim.Second),
+				Start: sim.Millis(2 * sim.Second), Horizon: sim.Millis(1 * sim.Second)}
 		}},
 		{"churn with nothing to draw", func(g *scenario.GenSpec) {
 			g.Mix = nil
 			g.Fixed = []workload.AppSpec{workload.ByName("hmmer")}
 			g.VCPUs = 1
-			g.Churn = &scenario.ChurnSpec{Rate: 1, MeanLifetime: sim.Second, Horizon: sim.Second}
+			g.Churn = &scenario.ChurnSpec{Rate: 1, MeanLifetime: sim.Millis(sim.Second), Horizon: sim.Millis(sim.Second)}
 		}},
 	}
 	for _, c := range cases {
@@ -279,7 +279,7 @@ func TestChurnHorizonBelowDefaultStartRejected(t *testing.T) {
 	g := scenario.GenSpec{
 		Name: "tiny", VCPUs: 2,
 		Mix:   map[vcputype.Type]float64{vcputype.LoLCF: 1},
-		Churn: &scenario.ChurnSpec{Rate: 2, MeanLifetime: 500 * sim.Millisecond, Horizon: 40 * sim.Millisecond},
+		Churn: &scenario.ChurnSpec{Rate: 2, MeanLifetime: sim.Millis(500 * sim.Millisecond), Horizon: sim.Millis(40 * sim.Millisecond)},
 	}
 	if err := g.Validate(); err == nil {
 		t.Error("horizon 40ms below the 50ms default start accepted")

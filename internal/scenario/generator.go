@@ -63,24 +63,24 @@ type GenSpec struct {
 // across sweep workers and replications.
 type ChurnSpec struct {
 	// Rate is mean VM arrivals per simulated second (> 0).
-	Rate float64
+	Rate float64 `json:"rate_per_sec"`
 	// MeanLifetime is the mean VM lifetime (> 0).
-	MeanLifetime sim.Time
+	MeanLifetime sim.Millis `json:"mean_life_ms"`
 	// MinLifetime floors drawn lifetimes (default 200 ms).
-	MinLifetime sim.Time
+	MinLifetime sim.Millis `json:"min_life_ms,omitempty"`
 	// Start is the earliest arrival time (default 50 ms).
-	Start sim.Time
+	Start sim.Millis `json:"start_ms,omitempty"`
 	// Horizon bounds arrivals: none at or after it (required, > Start).
-	Horizon sim.Time
+	Horizon sim.Millis `json:"horizon_ms"`
 	// MaxVMs caps the number of arrivals (0 = unbounded).
-	MaxVMs int
+	MaxVMs int `json:"max_vms,omitempty"`
 }
 
 // effectiveStart is Start with its default applied (Validate and
 // Generate must agree on it).
-func (c *ChurnSpec) effectiveStart() sim.Time {
+func (c *ChurnSpec) effectiveStart() sim.Millis {
 	if c.Start == 0 {
-		return 50 * sim.Millisecond
+		return sim.Millis(50 * sim.Millisecond)
 	}
 	return c.Start
 }
@@ -244,7 +244,7 @@ func (g *GenSpec) Validate() error {
 		case len(g.Mix) == 0 && len(g.Phases) == 0:
 			return fmt.Errorf("scenario: generator %q: churn needs a mix or phases to draw VMs from", g.Name)
 		}
-		if expected := c.Rate * (c.Horizon - c.effectiveStart()).Seconds(); expected > maxChurnArrivals {
+		if expected := c.Rate * sim.Time(c.Horizon-c.effectiveStart()).Seconds(); expected > maxChurnArrivals {
 			return fmt.Errorf("scenario: generator %q: churn expects ~%.0f arrivals, more than the %d sanity cap", g.Name, expected, maxChurnArrivals)
 		}
 	}
@@ -346,22 +346,19 @@ func (g *GenSpec) Generate() (Spec, error) {
 		c := *g.Churn
 		c.Start = c.effectiveStart()
 		if c.MinLifetime == 0 {
-			c.MinLifetime = 200 * sim.Millisecond
+			c.MinLifetime = sim.Millis(200 * sim.Millisecond)
 		}
 		crng := sim.NewRNG(g.Seed).Fork(0xC4A2)
 		meanInter := sim.Time(float64(sim.Second) / c.Rate)
-		at := c.Start
+		at := sim.Time(c.Start)
 		for k := 0; c.MaxVMs == 0 || k < c.MaxVMs; k++ {
 			at += crng.ExpTime(meanInter)
-			if at >= c.Horizon {
+			if at >= sim.Time(c.Horizon) {
 				break
 			}
 			s := drawApp(crng, uint64(k)+0x11)
 			s.Name = fmt.Sprintf("chn%02d-%s", k, s.Name)
-			life := crng.ExpTime(c.MeanLifetime)
-			if life < c.MinLifetime {
-				life = c.MinLifetime
-			}
+			life := max(crng.ExpTime(sim.Time(c.MeanLifetime)), sim.Time(c.MinLifetime))
 			arrivals = append(arrivals, Arrival{At: at, Spec: s, Lifetime: life})
 		}
 	}

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
 	"sort"
+	"strings"
 
+	"aqlsched/examples/specs"
 	"aqlsched/internal/catalog"
 	"aqlsched/internal/fleet"
 	"aqlsched/internal/hw"
@@ -16,58 +19,6 @@ import (
 	"aqlsched/internal/workload"
 )
 
-// --- Named axis points (thin catalog lookups) ------------------------------
-
-// ScenarioByName resolves a scenario axis point from the catalog:
-// S1–S5 (Table 4), "four-socket" (Fig. 3 / Fig. 6 right), and anything
-// registered since.
-func ScenarioByName(name string) (Scenario, error) {
-	sc, err := catalog.ScenarioByName(name)
-	if err != nil {
-		return Scenario{}, err
-	}
-	return Scenario{Name: sc.Name, New: sc.New}, nil
-}
-
-// PolicyByName resolves a policy axis point from the catalog grammar:
-// xen (or xen-credit), aql, vturbo, vslicer, microsliced,
-// fixed:<duration> (e.g. fixed:10ms) and aql-nocustom:<duration>.
-func PolicyByName(name string) (Policy, error) {
-	p, err := catalog.PolicyByName(name)
-	if err != nil {
-		return Policy{}, err
-	}
-	return Policy(p), nil
-}
-
-// The policy constructors remain exported for Go callers building
-// sweep.Spec values directly (the experiments package); each is the
-// catalog entry of the same name.
-
-// XenPolicy is the unmodified credit scheduler (the usual baseline).
-func XenPolicy() Policy { return Policy(catalog.XenPolicy()) }
-
-// AQLPolicy is the paper's system. Every run gets a fresh controller
-// output slot, retrievable via RunResult.Controller.
-func AQLPolicy() Policy { return Policy(catalog.AQLPolicy()) }
-
-// AQLNoCustomPolicy is the Fig. 7 ablation: clustering stays active but
-// every pool runs the fixed quantum q.
-func AQLNoCustomPolicy(q sim.Time) Policy { return Policy(catalog.AQLNoCustomPolicy(q)) }
-
-// FixedPolicy runs every vCPU at quantum q in one pool.
-func FixedPolicy(q sim.Time) Policy { return Policy(catalog.FixedPolicy(q)) }
-
-// VTurboPolicy, VSlicerPolicy and MicroslicedPolicy are the related
-// systems of Fig. 8, manually configured as in the paper.
-func VTurboPolicy() Policy { return Policy(catalog.VTurboPolicy()) }
-
-// VSlicerPolicy differentiates IO-intensive slices on shared pools.
-func VSlicerPolicy() Policy { return Policy(catalog.VSlicerPolicy()) }
-
-// MicroslicedPolicy shortens the quantum for every vCPU.
-func MicroslicedPolicy() Policy { return Policy(catalog.MicroslicedPolicy()) }
-
 // --- Declarative spec files ------------------------------------------------
 
 // File is the JSON on-disk sweep specification consumed by aqlsweep.
@@ -75,7 +26,7 @@ func MicroslicedPolicy() Policy { return Policy(catalog.MicroslicedPolicy()) }
 // catalog names with a topology override ({"name": "S1", "topology":
 // "xeon-e5-4603"}), or inline generator blocks ({"gen": {...}}); see
 // ScenarioRef. Policy entries use the catalog grammar understood by
-// PolicyByName. Topology references resolve against the file's own
+// catalog.PolicyByName. Topology references resolve against the file's own
 // "topologies" section first, then the shared registry.
 type File struct {
 	Name string `json:"name"`
@@ -199,10 +150,9 @@ func (r *PolicyRef) UnmarshalJSON(data []byte) error {
 // resolve turns the reference into a policy axis point.
 func (r PolicyRef) resolve() (Policy, error) {
 	if r.Block != nil {
-		p, err := catalog.PolicyFromConfig(r.Block.Name, r.Block.Params)
-		return Policy(p), err
+		return catalog.PolicyFromConfig(r.Block.Name, r.Block.Params)
 	}
-	return PolicyByName(r.Name)
+	return catalog.PolicyByName(r.Name)
 }
 
 // GenBlock parameterizes a generated colocation scenario (see
@@ -236,7 +186,7 @@ type GenBlock struct {
 	// when Phases is set).
 	PhaseProb *float64 `json:"phase_prob,omitempty"`
 	// Churn adds VM arrival/departure events to the scenario.
-	Churn *ChurnBlock `json:"churn,omitempty"`
+	Churn *scenario.ChurnSpec `json:"churn,omitempty"`
 }
 
 // PhaseBlock is one leg of a generated phase cycle: the ground-truth
@@ -247,32 +197,17 @@ type PhaseBlock struct {
 	MS   int64  `json:"ms"`
 }
 
-// ChurnBlock parameterizes generated VM churn (see scenario.ChurnSpec):
-// Poisson arrivals at RatePerSec from StartMS until HorizonMS, each VM
-// living an exponential MeanLifeMS (floored at MinLifeMS).
-type ChurnBlock struct {
-	RatePerSec float64 `json:"rate_per_sec"`
-	MeanLifeMS int64   `json:"mean_life_ms"`
-	MinLifeMS  int64   `json:"min_life_ms,omitempty"`
-	StartMS    int64   `json:"start_ms,omitempty"`
-	HorizonMS  int64   `json:"horizon_ms"`
-	MaxVMs     int     `json:"max_vms,omitempty"`
-}
-
-// FleetBlock parameterizes a multi-host fleet scenario (see
-// fleet.Spec): the host count and machine, the admission ratio, one or
-// more placement policies, tenant weights, the generated VM population
-// with optional churn, and the rebalancer.
+// FleetBlock is the spec-file form of a multi-host fleet scenario. Its
+// embedded fleet.Spec is the schema — the JSON tags on fleet.Spec and on
+// the churn, rebalance and fault types it holds name the keys — and
+// FleetBlock adds only the three keys that need resolving against the
+// file: the machine name, one or more placement policies, and the
+// tenant weight map.
 type FleetBlock struct {
-	// Name labels the axis point(s) (default "fleet<i>-<hosts>h").
-	Name string `json:"name,omitempty"`
-	// Hosts is the number of hosts (required, ≥ 1).
-	Hosts int `json:"hosts"`
+	fleet.Spec
 	// Topology names the per-host machine (file-local or registered;
 	// default "i7-3770").
 	Topology string `json:"topology,omitempty"`
-	// OverSub is the per-host admission ratio (default 3).
-	OverSub float64 `json:"oversub,omitempty"`
 	// Placement lists the placement policies to sweep; a bare string is
 	// accepted for a single policy (default "least-loaded").
 	Placement PlacementList `json:"placement,omitempty"`
@@ -280,142 +215,6 @@ type FleetBlock struct {
 	// one tenant "t0" with weight 1). Names are sorted for a
 	// deterministic tenant order.
 	Tenants map[string]float64 `json:"tenants,omitempty"`
-	// VCPUs is the initial population's vCPU budget across the fleet
-	// (required).
-	VCPUs int `json:"vcpus"`
-	// Mix weights the generated VM types by name (required).
-	Mix map[string]float64 `json:"mix,omitempty"`
-	// Churn adds Poisson VM arrivals with exponential lifetimes.
-	Churn *ChurnBlock `json:"churn,omitempty"`
-	// Rebalance parameterizes the live-migration trigger.
-	Rebalance *RebalanceBlock `json:"rebalance,omitempty"`
-	// Faults injects host crashes, transient degradation and migration
-	// failures on a seeded schedule.
-	Faults *FaultsBlock `json:"faults,omitempty"`
-	// Seed drives the population draws (default: the file's base seed),
-	// independent of the per-run simulation seeds.
-	Seed uint64 `json:"seed,omitempty"`
-	// Workers hints the shard-worker count for each run of this fleet
-	// (0 = GOMAXPROCS, 1 = serial). An execution knob only — results
-	// are byte-identical at any value — and overridden by the
-	// -fleet-workers flag / sweep.Options.FleetWorkers when set.
-	Workers int `json:"workers,omitempty"`
-}
-
-// RebalanceBlock is the spec-file form of fleet.Rebalance.
-type RebalanceBlock struct {
-	EveryMS     int64   `json:"every_ms,omitempty"`
-	Threshold   float64 `json:"threshold,omitempty"`
-	MigrationMS int64   `json:"migration_ms,omitempty"`
-	MaxPerTick  int     `json:"max_per_tick,omitempty"`
-}
-
-// FaultsBlock is the spec-file form of fleet.FaultPlan: explicit and
-// storm-drawn host crashes and degradations, a migration failure
-// probability, and the recovery policy.
-type FaultsBlock struct {
-	// Seed drives the storm draws (default: the population seed, so
-	// replications share the fault schedule like they share the
-	// population).
-	Seed uint64 `json:"seed,omitempty"`
-	// Crashes and Degrades are explicit, hand-placed fault events.
-	Crashes  []CrashBlock   `json:"crashes,omitempty"`
-	Degrades []DegradeBlock `json:"degrades,omitempty"`
-	// CrashStorm and DegradeStorm draw seeded Poisson fault schedules.
-	CrashStorm   *StormBlock `json:"crash_storm,omitempty"`
-	DegradeStorm *StormBlock `json:"degrade_storm,omitempty"`
-	// MigFailProb fails each completing live migration with this
-	// probability.
-	MigFailProb float64 `json:"migration_fail_prob,omitempty"`
-	// Recovery tunes the re-placement of crash victims.
-	Recovery *RecoveryBlock `json:"recovery,omitempty"`
-}
-
-// CrashBlock is one explicit host crash: host dies at at_ms and
-// recovers down_ms later (0 = never).
-type CrashBlock struct {
-	Host   int   `json:"host"`
-	AtMS   int64 `json:"at_ms"`
-	DownMS int64 `json:"down_ms,omitempty"`
-}
-
-// DegradeBlock is one explicit transient degradation: from at_ms for
-// for_ms the host admits only factor × its nominal capacity.
-type DegradeBlock struct {
-	Host   int     `json:"host"`
-	AtMS   int64   `json:"at_ms"`
-	ForMS  int64   `json:"for_ms"`
-	Factor float64 `json:"factor"`
-}
-
-// StormBlock draws a Poisson fault schedule: events at rate_per_sec
-// from start_ms to horizon_ms, each lasting an exponential
-// mean_down_ms; factor applies to degrade storms only; max, when
-// positive, caps the event count.
-type StormBlock struct {
-	RatePerSec float64 `json:"rate_per_sec"`
-	StartMS    int64   `json:"start_ms,omitempty"`
-	HorizonMS  int64   `json:"horizon_ms"`
-	MeanDownMS int64   `json:"mean_down_ms"`
-	Factor     float64 `json:"factor,omitempty"`
-	Max        int     `json:"max,omitempty"`
-}
-
-// RecoveryBlock is the spec-file form of fleet.Recovery: bounded
-// retries with exponential backoff, then requeue or drop.
-type RecoveryBlock struct {
-	MaxRetries   int     `json:"max_retries,omitempty"`
-	RetryDelayMS int64   `json:"retry_delay_ms,omitempty"`
-	Backoff      float64 `json:"backoff,omitempty"`
-	OnExhaust    string  `json:"on_exhaust,omitempty"`
-}
-
-// plan converts the block into the fleet's FaultPlan.
-func (fb *FaultsBlock) plan() *fleet.FaultPlan {
-	p := &fleet.FaultPlan{
-		Seed:        fb.Seed,
-		MigFailProb: fb.MigFailProb,
-	}
-	for _, c := range fb.Crashes {
-		p.Crashes = append(p.Crashes, fleet.Crash{
-			Host: c.Host,
-			At:   sim.Time(c.AtMS) * sim.Millisecond,
-			Down: sim.Time(c.DownMS) * sim.Millisecond,
-		})
-	}
-	for _, d := range fb.Degrades {
-		p.Degrades = append(p.Degrades, fleet.Degrade{
-			Host:   d.Host,
-			At:     sim.Time(d.AtMS) * sim.Millisecond,
-			For:    sim.Time(d.ForMS) * sim.Millisecond,
-			Factor: d.Factor,
-		})
-	}
-	storm := func(s *StormBlock) *fleet.Storm {
-		return &fleet.Storm{
-			Rate:     s.RatePerSec,
-			Start:    sim.Time(s.StartMS) * sim.Millisecond,
-			Horizon:  sim.Time(s.HorizonMS) * sim.Millisecond,
-			MeanDown: sim.Time(s.MeanDownMS) * sim.Millisecond,
-			Factor:   s.Factor,
-			Max:      s.Max,
-		}
-	}
-	if fb.CrashStorm != nil {
-		p.CrashStorm = storm(fb.CrashStorm)
-	}
-	if fb.DegradeStorm != nil {
-		p.DegradeStorm = storm(fb.DegradeStorm)
-	}
-	if r := fb.Recovery; r != nil {
-		p.Recovery = fleet.Recovery{
-			MaxRetries: r.MaxRetries,
-			RetryDelay: sim.Time(r.RetryDelayMS) * sim.Millisecond,
-			Backoff:    r.Backoff,
-			OnExhaust:  r.OnExhaust,
-		}
-	}
-	return p
 }
 
 // PlacementList accepts either a JSON string or a list of strings.
@@ -485,12 +284,12 @@ func (f *File) scenarioAxis(i int, r ScenarioRef) (Scenario, error) {
 		return f.genAxis(i, r.Gen)
 
 	case r.Name != "":
-		sc, err := ScenarioByName(r.Name)
+		sc, err := catalog.ScenarioByName(r.Name)
 		if err != nil {
 			return Scenario{}, err
 		}
 		if r.Topology == "" {
-			return sc, nil
+			return Scenario{Name: sc.Name, New: sc.New}, nil
 		}
 		topo, err := f.topology(r.Topology)
 		if err != nil {
@@ -534,14 +333,6 @@ func (f *File) genAxis(i int, g *GenBlock) (Scenario, error) {
 		fixed = append(fixed, app)
 	}
 
-	seed := g.Seed
-	if seed == 0 {
-		seed = f.BaseSeed
-	}
-	if seed == 0 {
-		seed = DefaultSeed
-	}
-
 	name := g.Name
 	if name == "" {
 		name = fmt.Sprintf("gen%d-%s-%dv", i, topoName, g.VCPUs)
@@ -553,7 +344,8 @@ func (f *File) genAxis(i int, g *GenBlock) (Scenario, error) {
 		VCPUs:   g.VCPUs,
 		OverSub: g.OverSub,
 		Fixed:   fixed,
-		Seed:    seed,
+		Seed:    f.genSeed(g.Seed),
+		Churn:   g.Churn,
 	}
 	if len(g.Mix) > 0 {
 		m, err := scenario.ParseMix(g.Mix)
@@ -585,20 +377,22 @@ func (f *File) genAxis(i int, g *GenBlock) (Scenario, error) {
 		}
 		gs.PhaseProb = p
 	}
-	if c := g.Churn; c != nil {
-		gs.Churn = &scenario.ChurnSpec{
-			Rate:         c.RatePerSec,
-			MeanLifetime: sim.Time(c.MeanLifeMS) * sim.Millisecond,
-			MinLifetime:  sim.Time(c.MinLifeMS) * sim.Millisecond,
-			Start:        sim.Time(c.StartMS) * sim.Millisecond,
-			Horizon:      sim.Time(c.HorizonMS) * sim.Millisecond,
-			MaxVMs:       c.MaxVMs,
-		}
-	}
 	if _, err := gs.Generate(); err != nil {
 		return Scenario{}, fmt.Errorf("sweep: generator scenario %d: %v", i, err)
 	}
 	return Scenario{Name: name, New: gs.MustGenerate}, nil
+}
+
+// genSeed resolves a population seed: the block's own, else the file's
+// base seed, else DefaultSeed.
+func (f *File) genSeed(seed uint64) uint64 {
+	if seed == 0 {
+		seed = f.BaseSeed
+	}
+	if seed == 0 {
+		seed = DefaultSeed
+	}
+	return seed
 }
 
 // fleetAxis expands a fleet block into one scenario axis point per
@@ -607,89 +401,41 @@ func (f *File) genAxis(i int, g *GenBlock) (Scenario, error) {
 // unknown placement, a non-positive tenant weight — fails the load, not
 // the run.
 func (f *File) fleetAxis(i int, fb *FleetBlock) ([]Scenario, error) {
-	var topo *hw.Topology
+	base := fb.Spec
 	if fb.Topology != "" {
 		t, err := f.topology(fb.Topology)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: fleet scenario %d: %v", i, err)
 		}
-		topo = t
+		base.Topo = t
 	}
-
-	var tenants []fleet.Tenant
-	if len(fb.Tenants) > 0 {
-		names := make([]string, 0, len(fb.Tenants))
-		for n := range fb.Tenants {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			tenants = append(tenants, fleet.Tenant{Name: n, Weight: fb.Tenants[n]})
-		}
+	names := make([]string, 0, len(fb.Tenants))
+	for n := range fb.Tenants {
+		names = append(names, n)
 	}
-
-	seed := fb.Seed
-	if seed == 0 {
-		seed = f.BaseSeed
+	sort.Strings(names)
+	for _, n := range names {
+		base.Tenants = append(base.Tenants, fleet.Tenant{Name: n, Weight: fb.Tenants[n]})
 	}
-	if seed == 0 {
-		seed = DefaultSeed
-	}
-
-	name := fb.Name
-	if name == "" {
-		name = fmt.Sprintf("fleet%d-%dh", i, fb.Hosts)
+	base.GenSeed = f.genSeed(base.GenSeed)
+	if base.Name == "" {
+		base.Name = fmt.Sprintf("fleet%d-%dh", i, base.Hosts)
 	}
 
 	placements := []string(fb.Placement)
 	if len(placements) == 0 {
 		placements = []string{"least-loaded"}
 	}
-
-	base := fleet.Spec{
-		Name:    name,
-		Hosts:   fb.Hosts,
-		Topo:    topo,
-		OverSub: fb.OverSub,
-		Tenants: tenants,
-		VCPUs:   fb.VCPUs,
-		Mix:     fb.Mix,
-		GenSeed: seed,
-		Workers: fb.Workers,
-	}
-	if c := fb.Churn; c != nil {
-		base.Churn = &scenario.ChurnSpec{
-			Rate:         c.RatePerSec,
-			MeanLifetime: sim.Time(c.MeanLifeMS) * sim.Millisecond,
-			MinLifetime:  sim.Time(c.MinLifeMS) * sim.Millisecond,
-			Start:        sim.Time(c.StartMS) * sim.Millisecond,
-			Horizon:      sim.Time(c.HorizonMS) * sim.Millisecond,
-			MaxVMs:       c.MaxVMs,
-		}
-	}
-	if r := fb.Rebalance; r != nil {
-		base.Rebalance = fleet.Rebalance{
-			Every:         sim.Time(r.EveryMS) * sim.Millisecond,
-			Threshold:     r.Threshold,
-			MigrationTime: sim.Time(r.MigrationMS) * sim.Millisecond,
-			MaxPerTick:    r.MaxPerTick,
-		}
-	}
-	if fb.Faults != nil {
-		base.Faults = fb.Faults.plan()
-	}
-
 	var out []Scenario
 	for _, pl := range placements {
-		proto := base
-		proto.Placement = pl
+		p := base // one copy per placement
+		p.Placement = pl
 		if len(placements) > 1 {
-			proto.Name = name + "+" + pl
+			p.Name = base.Name + "+" + pl
 		}
-		if _, err := proto.GenVMs(); err != nil {
+		if _, err := p.GenVMs(); err != nil {
 			return nil, fmt.Errorf("sweep: fleet scenario %d: %v", i, err)
 		}
-		p := proto // capture one copy per placement
 		out = append(out, Scenario{Name: p.Name, NewFleet: func() *fleet.Spec {
 			c := p
 			return &c
@@ -737,7 +483,7 @@ func (f *File) Spec() (*Spec, error) {
 		s.Policies = append(s.Policies, p)
 	}
 	for _, q := range f.Quanta {
-		p, err := PolicyByName("fixed:" + q)
+		p, err := catalog.PolicyByName("fixed:" + q)
 		if err != nil {
 			return nil, err
 		}
@@ -747,7 +493,7 @@ func (f *File) Spec() (*Spec, error) {
 	// syntax ("xen", "fixed:30ms") and the resolved policy name
 	// ("xen-credit", "fixed-30.000ms").
 	if s.Baseline != "" {
-		if p, err := PolicyByName(s.Baseline); err == nil {
+		if p, err := catalog.PolicyByName(s.Baseline); err == nil {
 			s.Baseline = p.Name
 		}
 	}
@@ -822,194 +568,6 @@ var builtins = map[string]func() *Spec{
 			MeasureMS: 900,
 		})
 	},
-	// genmix demonstrates the generator end to end: a synthetic
-	// colocation mix on a generated two-socket machine. It must stay
-	// identical to the committed examples/specs/genmix.json (the CI
-	// smoke spec) so both spellings emit comparable artifacts — the
-	// sweep tests assert the equivalence.
-	"genmix": func() *Spec {
-		return mustFile(File{
-			Name: "genmix",
-			Topologies: map[string]hw.TopologyBuilder{
-				"dual-8": {Sockets: 2, CoresPerSocket: 8, LLCMB: 12, LLCWays: 16, MemNS: 90, MemGBps: 14},
-			},
-			Scenarios: []ScenarioRef{{Gen: &GenBlock{
-				Name:     "mix-balanced",
-				Topology: "dual-8",
-				VCPUs:    32,
-				OverSub:  4,
-				Mix: map[string]float64{
-					"IOInt": 0.25, "ConSpin": 0.25, "LLCF": 0.2, "LLCO": 0.15, "LoLCF": 0.15,
-				},
-				Apps: []string{"bzip2", "hmmer"},
-			}}},
-			Policies:  pols("xen", "aql", "fixed:5ms"),
-			Baseline:  "xen-credit",
-			Seeds:     2,
-			WarmupMS:  400,
-			MeasureMS: 900,
-		})
-	},
-	// dynmix demonstrates the dynamic-scenario pipeline end to end: a
-	// generated population where half the VMs flip type mid-run and VM
-	// churn arrives throughout warmup and measurement. It must stay
-	// identical to the committed examples/specs/dynmix.json (the CI
-	// smoke spec) — the sweep tests assert the equivalence.
-	"dynmix": func() *Spec {
-		prob := 0.5
-		return mustFile(File{
-			Name: "dynmix",
-			Scenarios: []ScenarioRef{{Gen: &GenBlock{
-				Name:    "dyn-churn",
-				VCPUs:   12,
-				OverSub: 3,
-				Mix: map[string]float64{
-					"IOInt": 0.25, "LLCF": 0.35, "LoLCF": 0.25, "LLCO": 0.15,
-				},
-				Phases: []PhaseBlock{
-					{Type: "LoLCF", MS: 1000},
-					{Type: "LLCO", MS: 1000},
-				},
-				PhaseProb: &prob,
-				Churn: &ChurnBlock{
-					RatePerSec: 2,
-					MeanLifeMS: 700,
-					HorizonMS:  1100,
-				},
-			}}},
-			Policies:  pols("xen", "aql", "fixed:5ms"),
-			Baseline:  "xen-credit",
-			Seeds:     2,
-			WarmupMS:  400,
-			MeasureMS: 900,
-		})
-	},
-	// fleet demonstrates the multi-host layer end to end: a 100-host /
-	// 2,400-vCPU datacenter with VM churn and live-migration
-	// rebalancing, sweeping two placement policies in one spec. It must
-	// stay identical to the committed examples/specs/fleet.json (the CI
-	// smoke spec) — the sweep tests assert the equivalence.
-	"fleet": func() *Spec {
-		return mustFile(File{
-			Name: "fleet",
-			Scenarios: []ScenarioRef{{Fleet: &FleetBlock{
-				Name:      "dc100",
-				Hosts:     100,
-				OverSub:   3,
-				Placement: PlacementList{"least-loaded", "bin-pack"},
-				Tenants:   map[string]float64{"alpha": 2, "beta": 1, "gamma": 1},
-				VCPUs:     2400,
-				Mix: map[string]float64{
-					"IOInt": 0.25, "ConSpin": 0.25, "LLCF": 0.2, "LLCO": 0.15, "LoLCF": 0.15,
-				},
-				Churn: &ChurnBlock{
-					RatePerSec: 40,
-					MeanLifeMS: 400,
-					MinLifeMS:  100,
-					HorizonMS:  900,
-				},
-				Rebalance: &RebalanceBlock{
-					EveryMS:     100,
-					Threshold:   0.05,
-					MigrationMS: 40,
-					MaxPerTick:  8,
-				},
-			}}},
-			Policies:  pols("xen"),
-			WarmupMS:  300,
-			MeasureMS: 700,
-		})
-	},
-	// faultfleet demonstrates the failure-injection layer end to end: a
-	// 20-host fleet under a crash storm, a degradation storm, flaky live
-	// migrations and the default recovery policy. It must stay identical
-	// to the committed examples/specs/faultfleet.json (the CI resume
-	// smoke spec) — the sweep tests assert the equivalence.
-	"faultfleet": func() *Spec {
-		return mustFile(File{
-			Name: "faultfleet",
-			Scenarios: []ScenarioRef{{Fleet: &FleetBlock{
-				Name:      "storm20",
-				Hosts:     20,
-				OverSub:   3,
-				Placement: PlacementList{"least-loaded", "bin-pack"},
-				Tenants:   map[string]float64{"alpha": 2, "beta": 1},
-				VCPUs:     480,
-				Mix: map[string]float64{
-					"IOInt": 0.25, "ConSpin": 0.25, "LLCF": 0.2, "LLCO": 0.15, "LoLCF": 0.15,
-				},
-				Churn: &ChurnBlock{
-					RatePerSec: 20,
-					MeanLifeMS: 400,
-					MinLifeMS:  100,
-					HorizonMS:  900,
-				},
-				Rebalance: &RebalanceBlock{
-					EveryMS:     100,
-					Threshold:   0.05,
-					MigrationMS: 40,
-					MaxPerTick:  4,
-				},
-				Faults: &FaultsBlock{
-					CrashStorm: &StormBlock{
-						RatePerSec: 6,
-						StartMS:    300,
-						HorizonMS:  900,
-						MeanDownMS: 150,
-					},
-					DegradeStorm: &StormBlock{
-						RatePerSec: 4,
-						HorizonMS:  1000,
-						MeanDownMS: 200,
-						Factor:     0.5,
-					},
-					MigFailProb: 0.2,
-					Recovery: &RecoveryBlock{
-						MaxRetries:   4,
-						RetryDelayMS: 10,
-						Backoff:      2,
-						OnExhaust:    "requeue",
-					},
-				},
-			}}},
-			Policies:  pols("xen"),
-			Seeds:     2,
-			WarmupMS:  300,
-			MeasureMS: 700,
-		})
-	},
-	// hetero demonstrates heterogeneous core classes end to end: a
-	// big.LITTLE machine (4 fast + 4 slow cores), the class-aware
-	// hetero-aql policy against plain AQL, and the deadline-aware edf
-	// policy spelled as a structured {"policy": ...} block. It must stay
-	// identical to the committed examples/specs/hetero.json (the CI
-	// smoke spec) — the sweep tests assert the equivalence.
-	"hetero": func() *Spec {
-		return mustFile(File{
-			Name: "hetero",
-			Topologies: map[string]hw.TopologyBuilder{
-				"big-little": {Sockets: 1, CoresPerSocket: 8, Classes: []hw.CoreClassBuilder{
-					{Name: "big", Count: 4, Speed: 1},
-					{Name: "little", Count: 4, Speed: 0.6, L2KB: 128},
-				}},
-			},
-			Scenarios: []ScenarioRef{{Gen: &GenBlock{
-				Name:     "hetero-mix",
-				Topology: "big-little",
-				VCPUs:    24,
-				OverSub:  3,
-				Mix: map[string]float64{
-					"IOInt": 0.3, "ConSpin": 0.2, "LLCF": 0.25, "LoLCF": 0.25,
-				},
-			}}},
-			Policies: append(pols("xen", "aql", "hetero-aql"),
-				PolicyRef{Block: &PolicyBlock{Name: "edf", Params: map[string]any{"deadline": "10ms"}}}),
-			Baseline:  "xen-credit",
-			Seeds:     2,
-			WarmupMS:  400,
-			MeasureMS: 900,
-		})
-	},
 }
 
 func mustFile(f File) *Spec {
@@ -1020,13 +578,22 @@ func mustFile(f File) *Spec {
 	return s
 }
 
-// Builtin returns a named built-in sweep specification.
+// Builtin returns a named built-in sweep specification: one of the
+// grids above, or an example spec embedded from examples/specs
+// ("genmix" is examples/specs/genmix.json).
 func Builtin(name string) (*Spec, bool) {
-	f, ok := builtins[name]
-	if !ok {
+	if f, ok := builtins[name]; ok {
+		return f(), true
+	}
+	data, err := specs.FS.ReadFile(name + ".json")
+	if err != nil {
 		return nil, false
 	}
-	return f(), true
+	s, err := Parse(data)
+	if err != nil {
+		panic("sweep: bad builtin " + name + ": " + err.Error())
+	}
+	return s, true
 }
 
 // BuiltinNames lists the built-in sweeps, sorted.
@@ -1034,6 +601,10 @@ func BuiltinNames() []string {
 	out := make([]string, 0, len(builtins))
 	for n := range builtins {
 		out = append(out, n)
+	}
+	files, _ := fs.Glob(specs.FS, "*.json")
+	for _, f := range files {
+		out = append(out, strings.TrimSuffix(f, ".json"))
 	}
 	sort.Strings(out)
 	return out

@@ -197,39 +197,29 @@ func TestGenmixBuiltin(t *testing.T) {
 	}
 }
 
-// TestGenmixBuiltinMatchesExampleSpec: `aqlsweep -spec genmix` (the
-// builtin) and `-spec examples/specs/genmix.json` (the CI smoke file)
-// must define the same experiment, or the two spellings would emit
-// same-named artifacts with different populations.
-func TestGenmixBuiltinMatchesExampleSpec(t *testing.T) {
-	builtin, ok := Builtin("genmix")
-	if !ok {
-		t.Fatal("genmix builtin missing")
+// TestExampleBuiltinShapes: each built-in parsed from an embedded
+// example spec still exercises the layer it demonstrates.
+func TestExampleBuiltinShapes(t *testing.T) {
+	builtin := func(name string) *Spec {
+		s, ok := Builtin(name)
+		if !ok {
+			t.Fatalf("%s builtin missing", name)
+		}
+		return s
 	}
-	file, err := Load("../../examples/specs/genmix.json")
-	if err != nil {
-		t.Fatal(err)
+	if sc := builtin("dynmix").Scenarios[0].New(); !sc.Dynamic() || len(sc.Arrivals) == 0 {
+		t.Error("dynmix scenario is not dynamic (no churn expanded)")
 	}
-	if builtin.Name != file.Name || builtin.Baseline != file.Baseline ||
-		builtin.Seeds != file.Seeds || builtin.BaseSeed != file.BaseSeed ||
-		builtin.Warmup != file.Warmup || builtin.Measure != file.Measure {
-		t.Errorf("genmix builtin and example file disagree on sweep knobs:\nbuiltin %+v\nfile    %+v", builtin, file)
+	if sc := builtin("hetero").Scenarios[0].New(); !sc.Topo.Heterogeneous() {
+		t.Error("hetero sweep machine is homogeneous")
 	}
-	var bp, fp []string
-	for _, p := range builtin.Policies {
-		bp = append(bp, p.Name)
+	if fl := builtin("fleet"); len(fl.Scenarios) != 2 {
+		t.Errorf("fleet builtin has %d placement axis points, want 2", len(fl.Scenarios))
 	}
-	for _, p := range file.Policies {
-		fp = append(fp, p.Name)
-	}
-	if !reflect.DeepEqual(bp, fp) {
-		t.Errorf("policy axes differ: builtin %v, file %v", bp, fp)
-	}
-	if len(builtin.Scenarios) != 1 || len(file.Scenarios) != 1 {
-		t.Fatalf("axis sizes differ: %d vs %d", len(builtin.Scenarios), len(file.Scenarios))
-	}
-	if !reflect.DeepEqual(builtin.Scenarios[0].New(), file.Scenarios[0].New()) {
-		t.Error("genmix builtin and example file expand to different scenarios")
+	for _, sc := range builtin("faultfleet").Scenarios {
+		if sc.NewFleet().Faults == nil {
+			t.Errorf("faultfleet scenario %q lost its fault plan", sc.Name)
+		}
 	}
 }
 
@@ -348,44 +338,6 @@ func TestSweepDynamicDeterminism(t *testing.T) {
 	}
 }
 
-// TestDynmixBuiltinMatchesExampleSpec mirrors the genmix equivalence
-// guarantee for the dynamic example spec.
-func TestDynmixBuiltinMatchesExampleSpec(t *testing.T) {
-	builtin, ok := Builtin("dynmix")
-	if !ok {
-		t.Fatal("dynmix builtin missing")
-	}
-	file, err := Load("../../examples/specs/dynmix.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if builtin.Name != file.Name || builtin.Baseline != file.Baseline ||
-		builtin.Seeds != file.Seeds || builtin.BaseSeed != file.BaseSeed ||
-		builtin.Warmup != file.Warmup || builtin.Measure != file.Measure {
-		t.Errorf("dynmix builtin and example file disagree on sweep knobs")
-	}
-	var bp, fp []string
-	for _, p := range builtin.Policies {
-		bp = append(bp, p.Name)
-	}
-	for _, p := range file.Policies {
-		fp = append(fp, p.Name)
-	}
-	if !reflect.DeepEqual(bp, fp) {
-		t.Errorf("policy axes differ: builtin %v, file %v", bp, fp)
-	}
-	if len(builtin.Scenarios) != 1 || len(file.Scenarios) != 1 {
-		t.Fatalf("axis sizes differ: %d vs %d", len(builtin.Scenarios), len(file.Scenarios))
-	}
-	b, f := builtin.Scenarios[0].New(), file.Scenarios[0].New()
-	if !reflect.DeepEqual(b, f) {
-		t.Error("dynmix builtin and example file expand to different scenarios")
-	}
-	if !b.Dynamic() || len(b.Arrivals) == 0 {
-		t.Error("dynmix scenario is not dynamic (no churn expanded)")
-	}
-}
-
 // TestSpecFileExplicitPhaseProbZero: "phase_prob": 0 must mean "no
 // phased VMs", not silently default to 1.
 func TestSpecFileExplicitPhaseProbZero(t *testing.T) {
@@ -410,45 +362,6 @@ func TestSpecFileExplicitPhaseProbZero(t *testing.T) {
 			"phase_prob": 1.5}}],
 		"policies": ["xen"]}`)); err == nil {
 		t.Error("phase_prob 1.5 accepted")
-	}
-}
-
-// TestHeteroBuiltinMatchesExampleSpec: `aqlsweep -spec hetero` and the
-// CI smoke file examples/specs/hetero.json must define the same
-// experiment (the genmix contract, for the heterogeneous sweep).
-func TestHeteroBuiltinMatchesExampleSpec(t *testing.T) {
-	builtin, ok := Builtin("hetero")
-	if !ok {
-		t.Fatal("hetero builtin missing")
-	}
-	file, err := Load("../../examples/specs/hetero.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if builtin.Name != file.Name || builtin.Baseline != file.Baseline ||
-		builtin.Seeds != file.Seeds || builtin.BaseSeed != file.BaseSeed ||
-		builtin.Warmup != file.Warmup || builtin.Measure != file.Measure {
-		t.Errorf("hetero builtin and example file disagree on sweep knobs:\nbuiltin %+v\nfile    %+v", builtin, file)
-	}
-	var bp, fp []string
-	for _, p := range builtin.Policies {
-		bp = append(bp, p.Name)
-	}
-	for _, p := range file.Policies {
-		fp = append(fp, p.Name)
-	}
-	if !reflect.DeepEqual(bp, fp) {
-		t.Errorf("policy axes differ: builtin %v, file %v", bp, fp)
-	}
-	if len(builtin.Scenarios) != 1 || len(file.Scenarios) != 1 {
-		t.Fatalf("axis sizes differ: %d vs %d", len(builtin.Scenarios), len(file.Scenarios))
-	}
-	if !reflect.DeepEqual(builtin.Scenarios[0].New(), file.Scenarios[0].New()) {
-		t.Error("hetero builtin and example file expand to different scenarios")
-	}
-	sc := builtin.Scenarios[0].New()
-	if !sc.Topo.Heterogeneous() {
-		t.Error("hetero sweep machine is homogeneous")
 	}
 }
 

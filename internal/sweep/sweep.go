@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"aqlsched/internal/baselines"
+	"aqlsched/internal/catalog"
 	"aqlsched/internal/core"
 	"aqlsched/internal/fleet"
 	"aqlsched/internal/metrics"
@@ -44,13 +45,11 @@ type Scenario struct {
 	NewFleet func() *fleet.Spec
 }
 
-// Policy is one point on the policy axis. New builds a fresh
-// scenario.Policy per run, so policies that capture per-run state (the
-// AQL controller output) stay race-free under any worker count.
-type Policy struct {
-	Name string
-	New  func() scenario.Policy
-}
+// Policy is one point on the policy axis: a catalog policy, whose New
+// builds a fresh scenario.Policy per run, so policies that capture
+// per-run state (the AQL controller output) stay race-free under any
+// worker count.
+type Policy = catalog.Policy
 
 // Spec declares a sweep: the cross product of Scenarios × Policies,
 // replicated Seeds times.
@@ -423,24 +422,29 @@ feed:
 // watchdog: a run exceeding Options.RunTimeout is marked FAILED so a
 // single hung configuration cannot wedge the whole sweep. The hung
 // goroutine is abandoned (see Options.RunTimeout); its late result is
-// received by nobody thanks to the buffered channel.
+// received by nobody thanks to the buffered channel. A run that
+// finishes past the deadline counts as timed out too, so the verdict
+// does not depend on which channel select happens to pick.
 func execWatched(spec *Spec, run Run, opts Options) RunResult {
 	if opts.RunTimeout <= 0 {
 		return execOne(spec, run, opts)
 	}
+	start := time.Now()
 	ch := make(chan RunResult, 1)
 	go func() { ch <- execOne(spec, run, opts) }()
 	timer := time.NewTimer(opts.RunTimeout)
 	defer timer.Stop()
 	select {
 	case rr := <-ch:
-		return rr
-	case <-timer.C:
-		return RunResult{
-			Run:     run,
-			Err:     fmt.Errorf("run %s/%s seed#%d timed out after %v", run.Scenario, run.Policy, run.SeedIdx, opts.RunTimeout),
-			Elapsed: opts.RunTimeout,
+		if time.Since(start) < opts.RunTimeout {
+			return rr
 		}
+	case <-timer.C:
+	}
+	return RunResult{
+		Run:     run,
+		Err:     fmt.Errorf("run %s/%s seed#%d timed out after %v", run.Scenario, run.Policy, run.SeedIdx, opts.RunTimeout),
+		Elapsed: opts.RunTimeout,
 	}
 }
 

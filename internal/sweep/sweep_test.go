@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -233,8 +234,10 @@ func TestSweepSpecFile(t *testing.T) {
 
 func TestSweepBuiltins(t *testing.T) {
 	names := BuiltinNames()
-	if len(names) == 0 {
-		t.Fatal("no builtins")
+	want := []string{"baseline-grid", "bench", "dynmix", "faultfleet", "fig8", "fleet",
+		"four-socket", "genmix", "hetero", "policy-grid", "quantum-grid"}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("builtins %v, want %v", names, want)
 	}
 	for _, n := range names {
 		s, ok := Builtin(n)
