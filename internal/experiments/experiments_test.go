@@ -108,6 +108,23 @@ func TestFig5EachTypePrefersItsQuantum(t *testing.T) {
 	}
 }
 
+// TestFig5BestQuantumTieBreak: exact ties resolve the same way every
+// call — to the 30 ms default, else to the shortest tied quantum — so
+// the rendered Fig. 5 "best" column cannot change between processes.
+func TestFig5BestQuantumTieBreak(t *testing.T) {
+	ms := sim.Millisecond
+	threeWay := Fig5App{Norm: map[sim.Time]float64{1 * ms: 0.9, 10 * ms: 0.8, 60 * ms: 0.8, 90 * ms: 0.8}}
+	withDefault := Fig5App{Norm: map[sim.Time]float64{1 * ms: 1.2, 10 * ms: 1, 60 * ms: 1, 90 * ms: 1.1}}
+	for i := 0; i < 100; i++ {
+		if q := threeWay.BestQuantum(); q != 10*ms {
+			t.Fatalf("call %d: three-way tie resolved to %v, want 10ms", i, q)
+		}
+		if q := withDefault.BestQuantum(); q != 30*ms {
+			t.Fatalf("call %d: tie with the default resolved to %v, want 30ms", i, q)
+		}
+	}
+}
+
 func TestSingleSocketAQLBeatsXen(t *testing.T) {
 	r := SingleSocket(QuickConfig())
 	if len(r.Scenarios) != 5 {

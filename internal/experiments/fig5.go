@@ -29,11 +29,14 @@ type Fig5App struct {
 }
 
 // BestQuantum reports the quantum with the lowest normalized value
-// (30 ms is included implicitly with value 1).
+// (30 ms is included implicitly with value 1). Exact ties go to the 30 ms
+// default, then to the shortest tied quantum: the scan walks Fig5Quanta
+// in order, never the Norm map, so the answer is the same in every
+// process.
 func (a Fig5App) BestQuantum() sim.Time {
 	best, bestV := 30*sim.Millisecond, 1.0
-	for q, v := range a.Norm {
-		if v < bestV {
+	for _, q := range Fig5Quanta() {
+		if v, ok := a.Norm[q]; ok && v < bestV {
 			best, bestV = q, v
 		}
 	}
