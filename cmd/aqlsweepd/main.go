@@ -30,6 +30,10 @@ import (
 	"aqlsched/internal/serve"
 )
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so idle or trickling connections cannot pin server goroutines.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8466", "listen address (host:port; port 0 picks a free port)")
 	data := flag.String("data", "", "persistent data directory for the job queue (required)")
@@ -66,7 +70,7 @@ func main() {
 	}
 	logger.Printf("listening on %s (data=%s, job-slots=%d)", ln.Addr(), *data, *jobSlots)
 
-	hs := &http.Server{Handler: s.Handler()}
+	hs := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {

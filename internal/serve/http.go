@@ -62,12 +62,22 @@ func errorCode(err error) int {
 	}
 }
 
+// MaxSubmitBytes bounds a POST /v1/jobs body. The shipped example specs
+// are a few KiB; the cap leaves ample room for hand-written grids while
+// keeping one request from streaming unbounded bytes into the parser.
+const MaxSubmitBytes = 8 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, "decoding request: %v", err)
 		return
 	}
 	view, err := s.Submit(&req)

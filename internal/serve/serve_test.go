@@ -492,6 +492,31 @@ func TestHTTPSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestHTTPSubmitTooLarge: a body over MaxSubmitBytes is refused with 413
+// before the spec parser sees it, and queues nothing.
+func TestHTTPSubmitTooLarge(t *testing.T) {
+	s := newTestServer(t, t.TempDir())
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	pad := strings.Repeat(" ", MaxSubmitBytes)
+	body := `{"user":"ada",` + pad + `"builtin":"genmix"}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e map[string]string
+	json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || e["error"] == "" {
+		t.Fatalf("oversized submit: status %d, error %q; want 413 with an error", resp.StatusCode, e["error"])
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("oversized submit queued %d jobs", len(jobs))
+	}
+}
+
 // TestCancelQueuedJob: canceling a queued job is immediate and
 // terminal, and frees nothing that was not running.
 func TestCancelQueuedJob(t *testing.T) {
