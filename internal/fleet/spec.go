@@ -347,7 +347,10 @@ func (s *Spec) GenVMs() ([]VMSpec, error) {
 			tenant := drawTenant(crng)
 			app := md.Draw(crng, uint64(k)+0x11)
 			app.Name = fmt.Sprintf("chn%02d-%s", k, app.Name)
-			life := max(crng.ExpTime(sim.Time(c.MeanLifetime)), sim.Time(c.MinLifetime))
+			life := crng.ExpTime(sim.Time(c.MeanLifetime))
+			if life < sim.Time(c.MinLifetime) {
+				life = sim.Time(c.MinLifetime)
+			}
 			out = append(out, VMSpec{ArriveAt: at, Lifetime: life, Tenant: tenant, App: app})
 		}
 	}

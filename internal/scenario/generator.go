@@ -358,7 +358,10 @@ func (g *GenSpec) Generate() (Spec, error) {
 			}
 			s := drawApp(crng, uint64(k)+0x11)
 			s.Name = fmt.Sprintf("chn%02d-%s", k, s.Name)
-			life := max(crng.ExpTime(sim.Time(c.MeanLifetime)), sim.Time(c.MinLifetime))
+			life := crng.ExpTime(sim.Time(c.MeanLifetime))
+			if life < sim.Time(c.MinLifetime) {
+				life = sim.Time(c.MinLifetime)
+			}
 			arrivals = append(arrivals, Arrival{At: at, Spec: s, Lifetime: life})
 		}
 	}
