@@ -62,14 +62,14 @@ func errorCode(err error) int {
 	}
 }
 
-// MaxSubmitBytes bounds a POST /v1/jobs body. The shipped example specs
+// maxSubmitBytes bounds a POST /v1/jobs body. The shipped example specs
 // are a few KiB; the cap leaves ample room for hand-written grids while
 // keeping one request from streaming unbounded bytes into the parser.
-const MaxSubmitBytes = 8 << 20
+const maxSubmitBytes = 8 << 20
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSubmitBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		code := http.StatusBadRequest

@@ -492,7 +492,7 @@ func TestHTTPSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestHTTPSubmitTooLarge: a body over MaxSubmitBytes is refused with 413
+// TestHTTPSubmitTooLarge: a body over maxSubmitBytes is refused with 413
 // before the spec parser sees it, and queues nothing.
 func TestHTTPSubmitTooLarge(t *testing.T) {
 	s := newTestServer(t, t.TempDir())
@@ -500,7 +500,7 @@ func TestHTTPSubmitTooLarge(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	pad := strings.Repeat(" ", MaxSubmitBytes)
+	pad := strings.Repeat(" ", maxSubmitBytes)
 	body := `{"user":"ada",` + pad + `"builtin":"genmix"}`
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {

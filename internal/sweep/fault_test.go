@@ -95,5 +95,5 @@ var faultErrorCases = []specErrorCase{
 }
 
 func TestSpecFileFaultErrorPaths(t *testing.T) {
-	checkSpecErrorsSub(t, faultErrorCases)
+	checkSpecErrors(t, faultErrorCases)
 }

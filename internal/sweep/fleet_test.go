@@ -109,7 +109,7 @@ var fleetErrorCases = []specErrorCase{
 }
 
 func TestSpecFileFleetErrorPaths(t *testing.T) {
-	checkSpecErrorsSub(t, fleetErrorCases)
+	checkSpecErrors(t, fleetErrorCases)
 }
 
 // TestFleetSweepDeterminism: fleet sweep artifacts must be byte-

@@ -26,8 +26,8 @@ import (
 // catalog names with a topology override ({"name": "S1", "topology":
 // "xeon-e5-4603"}), or inline generator blocks ({"gen": {...}}); see
 // ScenarioRef. Policy entries use the catalog grammar understood by
-// catalog.PolicyByName. Topology references resolve against the file's own
-// "topologies" section first, then the shared registry.
+// catalog.PolicyByName. Topology references resolve against the file's
+// own "topologies" section first, then the shared registry.
 type File struct {
 	Name string `json:"name"`
 	// Topologies defines machines inline, by builder parameters; their
@@ -602,7 +602,7 @@ func BuiltinNames() []string {
 	for n := range builtins {
 		out = append(out, n)
 	}
-	files, _ := fs.Glob(specs.FS, "*.json")
+	files, _ := fs.Glob(specs.FS, "*.json") // errors only on a malformed pattern
 	for _, f := range files {
 		out = append(out, strings.TrimSuffix(f, ".json"))
 	}
