@@ -25,50 +25,78 @@ func TestGoldenBenchArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench sweep is ~100ms per worker; skipped in -short")
 	}
-	spec, ok := Builtin("bench")
+	var jsonBuf, csvBuf bytes.Buffer
+	writeBuiltinArtifacts(t, "bench", &jsonBuf, &csvBuf)
+	checkGolden(t, "bench.golden.json", jsonBuf.Bytes())
+	checkGolden(t, "bench.golden.csv", csvBuf.Bytes())
+}
+
+// TestGoldenFleetArtifacts pins the fleet layer the same way: the JSON
+// and CSV artifacts of the "fleet" and "faultfleet" builtins, written
+// one after the other into fleet.golden.json and fleet.golden.csv.
+// Between them they drive the central timeline through arrivals, churn,
+// rebalancing, live migration, crashes, degradations and recovery
+// retries, so a change to event order or to the population draws shows
+// up here as a byte diff.
+func TestGoldenFleetArtifacts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the 100-host fleet; skipped in -short")
+	}
+	var jsonBuf, csvBuf bytes.Buffer
+	for _, name := range []string{"fleet", "faultfleet"} {
+		writeBuiltinArtifacts(t, name, &jsonBuf, &csvBuf)
+	}
+	checkGolden(t, "fleet.golden.json", jsonBuf.Bytes())
+	checkGolden(t, "fleet.golden.csv", csvBuf.Bytes())
+}
+
+// writeBuiltinArtifacts executes the named built-in sweep and appends
+// its JSON and CSV artifacts to the two buffers.
+func writeBuiltinArtifacts(t *testing.T, name string, jsonBuf, csvBuf *bytes.Buffer) {
+	t.Helper()
+	spec, ok := Builtin(name)
 	if !ok {
-		t.Fatal("built-in bench sweep missing")
+		t.Fatalf("built-in %s sweep missing", name)
 	}
 	res, err := Exec(spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f := res.Failed(); f > 0 {
-		t.Fatalf("%d of %d runs failed", f, len(res.Runs))
+		t.Fatalf("%s: %d of %d runs failed", name, f, len(res.Runs))
 	}
-
-	var jsonBuf, csvBuf bytes.Buffer
-	if err := res.WriteJSON(&jsonBuf); err != nil {
+	if err := res.WriteJSON(jsonBuf); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.WriteCSV(&csvBuf); err != nil {
+	if err := res.WriteCSV(csvBuf); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	check := func(name string, got []byte) {
-		path := filepath.Join("testdata", name)
-		if *updateGolden {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("rewrote %s (%d bytes)", path, len(got))
-			return
+// checkGolden compares got with testdata/<name>, or rewrites the file
+// under -update-golden.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
 		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("missing golden %s (run with -update-golden to create): %v", path, err)
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s drifted from golden (%d bytes got, %d want).\n"+
-				"Simulation results changed — if intentional, regenerate with -update-golden and explain in the PR.\n"+
-				"First divergence at byte %d.", name, len(got), len(want), firstDiff(got, want))
-		}
+		t.Logf("rewrote %s (%d bytes)", path, len(got))
+		return
 	}
-	check("bench.golden.json", jsonBuf.Bytes())
-	check("bench.golden.csv", csvBuf.Bytes())
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden %s (run with -update-golden to create): %v", path, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s drifted from golden (%d bytes got, %d want).\n"+
+			"Simulation results changed — if intentional, regenerate with -update-golden and explain in the PR.\n"+
+			"First divergence at byte %d.", name, len(got), len(want), firstDiff(got, want))
+	}
 }
 
 func firstDiff(a, b []byte) int {
