@@ -230,8 +230,8 @@ func stormDraws(s *Storm, hosts int, crash bool, rng *sim.RNG) []faultEvent {
 
 // timeline expands the plan (with defaults applied) into its event
 // schedule: explicit crashes, storm crashes, explicit degradations,
-// storm degradations, in that push order. It is a pure function of the
-// plan — the fleet pushes the events onto the central (time, seq)
+// storm degradations, in that schedule order. It is a pure function of
+// the plan — the fleet schedules the events on the central (time, seq)
 // timeline, which orders same-time faults deterministically.
 func (p *FaultPlan) timeline(hosts int) []faultEvent {
 	var out []faultEvent

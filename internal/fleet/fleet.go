@@ -118,86 +118,6 @@ func (v *VM) Host() *Host { return v.host }
 // Migrating reports whether a live migration is in flight.
 func (v *VM) Migrating() bool { return v.migrating }
 
-// --- Central event timeline ------------------------------------------------
-
-type eventKind uint8
-
-const (
-	evArrive eventKind = iota
-	evMeasureStart
-	evTick
-	evDepart
-	evMigDone
-	evCrash
-	evRecover
-	evDegrade
-	evDegradeEnd
-	evRetry
-)
-
-// event is one entry of the fleet timeline. Events are ordered by
-// (at, seq): seq is assigned in push order, so same-time events fire in
-// a deterministic schedule order regardless of heap internals.
-type event struct {
-	at       sim.Time
-	seq      int
-	kind     eventKind
-	vm       *VM
-	src, dst *Host // migration endpoints (evMigDone); src doubles as the fault target host
-	// gen pins the event to a VM placement stint (evDepart, evMigDone,
-	// evRetry) or a degradation episode (evDegradeEnd); a mismatch at
-	// fire time means the world moved on and the event is stale.
-	gen    int
-	dur    sim.Time // crash downtime / degrade duration
-	factor float64  // degrade capacity multiplier
-}
-
-func (f *Fleet) push(e event) {
-	e.seq = f.seq
-	f.seq++
-	f.heap = append(f.heap, e)
-	i := len(f.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !eventLess(f.heap[i], f.heap[p]) {
-			break
-		}
-		f.heap[i], f.heap[p] = f.heap[p], f.heap[i]
-		i = p
-	}
-}
-
-func (f *Fleet) pop() event {
-	top := f.heap[0]
-	last := len(f.heap) - 1
-	f.heap[0] = f.heap[last]
-	f.heap = f.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < last && eventLess(f.heap[l], f.heap[s]) {
-			s = l
-		}
-		if r < last && eventLess(f.heap[r], f.heap[s]) {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		f.heap[i], f.heap[s] = f.heap[s], f.heap[i]
-		i = s
-	}
-	return top
-}
-
-func eventLess(a, b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
 // --- Fleet -----------------------------------------------------------------
 
 // Fleet is one running (or finished) fleet simulation. Tests and
@@ -217,8 +137,13 @@ type Fleet struct {
 
 	warmup, end sim.Time
 
-	heap []event
-	seq  int
+	// timeline is the central clock. Every cross-host event (arrival,
+	// departure, migration completion, rebalance tick, fault) is a Fleet
+	// method scheduled on it and fires in (time, seq) order, seq being
+	// schedule order, so same-time events fire deterministically. Events
+	// scheduled against a placement stint or degradation episode carry
+	// its gen and turn into no-ops once the world has moved on.
+	timeline *sim.Engine
 
 	// pool, when non-nil, shards per-host engine advancement across
 	// worker goroutines at every epoch barrier (see parallel.go). It is
@@ -300,6 +225,7 @@ func Run(spec Spec, opts Options) *Result {
 		tenantCommitted: make([]int, len(sp.Tenants)),
 		tenantAttained:  make([]float64, len(sp.Tenants)),
 		tenantShares:    make([][]float64, len(sp.Tenants)),
+		timeline:        sim.NewEngine(),
 	}
 	f.placer, err = PlacementByName(sp.Placement)
 	if err != nil {
@@ -338,34 +264,25 @@ func Run(spec Spec, opts Options) *Result {
 		faultTimeline = f.faults.timeline(sp.Hosts)
 	}
 
-	// Size the timeline heap and VM table from the spec-derived event
-	// counts: every arrival, its eventual departure, the measure-start
-	// barrier, the rebalance ticks and the fault schedule are known up
-	// front, so the heap never regrows during the initial burst.
-	ticks := 0
-	every := sim.Time(sp.Rebalance.Every)
-	if every > 0 {
-		ticks = int(f.end / every)
-	}
-	f.heap = make([]event, 0, 2*len(vms)+ticks+len(faultTimeline)+1)
 	f.VMs = make([]*VM, 0, len(vms))
 	f.pending = make([]*VM, 0, len(vms))
-
 	for i := range vms {
 		vm := &VM{ID: i, VMSpec: vms[i]}
 		f.VMs = append(f.VMs, vm)
-		f.push(event{at: vm.ArriveAt, kind: evArrive, vm: vm})
+		f.timeline.At(vm.ArriveAt, func(now sim.Time) { f.arrive(vm, now) })
 	}
-	f.push(event{at: f.warmup, kind: evMeasureStart})
+	f.timeline.At(f.warmup, f.measureStart)
+	every := sim.Time(sp.Rebalance.Every)
 	for t := every; t < f.end; t += every {
-		f.push(event{at: t, kind: evTick})
+		f.timeline.At(t, f.tick)
 	}
 	for _, fe := range faultTimeline {
-		kind := evDegrade
+		h := f.Hosts[fe.host]
 		if fe.crash {
-			kind = evCrash
+			f.timeline.At(fe.at, func(now sim.Time) { f.crash(h, now, fe.dur) })
+		} else {
+			f.timeline.At(fe.at, func(now sim.Time) { f.degrade(h, fe.factor, fe.dur, now) })
 		}
-		f.push(event{at: fe.at, kind: kind, src: f.Hosts[fe.host], dur: fe.dur, factor: fe.factor})
 	}
 
 	if workers := resolveWorkers(opts.Workers, sp.Workers, sp.Hosts); workers > 1 {
@@ -395,153 +312,161 @@ func Run(spec Spec, opts Options) *Result {
 	return f.collect(polName)
 }
 
-func (f *Fleet) handle(e event) {
-	switch e.kind {
-	case evArrive:
-		f.pending = append(f.pending, e.vm)
-		f.drain(e.at)
+// arrive queues a VM for placement and admits what placement allows.
+func (f *Fleet) arrive(vm *VM, now sim.Time) {
+	f.pending = append(f.pending, vm)
+	f.drain(now)
+}
 
-	case evMeasureStart:
-		// One global barrier: every host advances to the window edge so
-		// attained-time watermarks are read at one consistent instant.
-		// (In epoch mode the epoch barrier already did this; these
-		// advances are then no-ops.)
-		f.advanceAll(e.at)
-		for _, vm := range f.VMs {
-			if vm.Placed && !vm.Gone {
-				vm.baseRun = f.attained(vm, e.at)
-			}
+// measureStart is one global barrier: every host advances to the window
+// edge so attained-time watermarks are read at one consistent instant.
+// (In epoch mode the epoch barrier already did this; these advances are
+// then no-ops.)
+func (f *Fleet) measureStart(now sim.Time) {
+	f.advanceAll(now)
+	for _, vm := range f.VMs {
+		if vm.Placed && !vm.Gone {
+			vm.baseRun = f.attained(vm, now)
 		}
-
-	case evTick:
-		f.rebalance(e.at)
-		if e.at >= f.warmup {
-			f.imbSum += f.imbalance()
-			f.imbN++
-		}
-
-	case evDepart:
-		vm := e.vm
-		if vm.Gone || e.gen != vm.gen {
-			// Stale: the VM already departed, or this departure belongs to
-			// a placement stint a crash has since ended.
-			return
-		}
-		h := vm.host
-		h.advance(e.at)
-		h.Hyp.DestroyDomain(vm.dep.Dom, e.at)
-		f.settle(vm, e.at)
-		f.vmSeconds += float64(vm.VCPUs()) * seconds(e.at-vm.PlacedAt)
-		vm.Gone = true
-		h.committed -= vm.VCPUs()
-		f.tenantCommitted[vm.Tenant] -= vm.VCPUs()
-		removeVM(h, vm)
-		// A departure mid-migration leaves the destination reservation
-		// in place; the migration-done event releases it as an abort.
-		f.drain(e.at)
-
-	case evMigDone:
-		vm, src, dst := e.vm, e.src, e.dst
-		dst.reserved -= vm.VCPUs()
-		if vm.Gone {
-			// Torn down in flight: release the reservation, nothing moved.
-			dst.committed -= vm.VCPUs()
-			f.aborted++
-			f.drain(e.at)
-			return
-		}
-		if e.gen != vm.gen {
-			// The source host crashed mid-transfer and the VM went back
-			// through recovery: the copy in flight is worthless. Release
-			// the reservation and count a failed migration.
-			dst.committed -= vm.VCPUs()
-			f.migFailures++
-			f.drain(e.at)
-			return
-		}
-		if dst.down {
-			// The destination died while the transfer ran: the VM keeps
-			// running where it was.
-			dst.committed -= vm.VCPUs()
-			vm.migrating = false
-			f.migFailures++
-			f.drain(e.at)
-			return
-		}
-		if f.faults != nil && f.faults.MigFailProb > 0 && f.faultRNG.Float64() < f.faults.MigFailProb {
-			// Injected transfer failure (dirty-page copy never converged,
-			// network fault, ...): same outcome as a dead destination.
-			dst.committed -= vm.VCPUs()
-			vm.migrating = false
-			f.migFailures++
-			f.faultsInjected++
-			f.drain(e.at)
-			return
-		}
-		vm.migrating = false
-		src.advance(e.at)
-		dst.advance(e.at)
-		src.Hyp.DestroyDomain(vm.dep.Dom, e.at)
-		vm.runCarried = f.attained(vm, e.at)
-		src.committed -= vm.VCPUs()
-		removeVM(src, vm)
-		vm.host = dst
-		dst.vms = append(dst.vms, vm)
-		vm.dep = workload.Deploy(dst.Hyp, vm.App, fmt.Sprintf("v%d", vm.ID), dst.deployRNG)
-		f.migrations++
-		f.drain(e.at)
-
-	case evCrash:
-		f.crash(e.src, e.at, e.dur)
-
-	case evRecover:
-		h := e.src
-		if !h.down {
-			return
-		}
-		h.down = false
-		f.drain(e.at)
-
-	case evDegrade:
-		h := e.src
-		h.factor = e.factor
-		h.degradeGen++
-		f.faultsInjected++
-		f.push(event{at: e.at + e.dur, kind: evDegradeEnd, src: h, gen: h.degradeGen})
-
-	case evDegradeEnd:
-		h := e.src
-		if e.gen != h.degradeGen {
-			return // a newer degradation superseded this one
-		}
-		h.factor = 1
-		f.drain(e.at)
-
-	case evRetry:
-		vm := e.vm
-		if vm.Gone || e.gen != vm.gen {
-			return
-		}
-		if vi, h, ok := f.placer.Choose(f, []*VM{vm}); ok && vi == 0 {
-			f.place(vm, h, e.at)
-			f.drain(e.at)
-			return
-		}
-		vm.retries++
-		rec := f.faults.Recovery
-		if vm.retries > rec.MaxRetries {
-			if rec.OnExhaust == "drop" {
-				vm.Gone = true
-				f.vmsLost++
-			} else {
-				// Requeue: the victim joins the tail of the regular
-				// placement queue and waits for capacity like any arrival.
-				f.pending = append(f.pending, vm)
-			}
-			return
-		}
-		f.scheduleRetry(vm, e.at)
 	}
+}
+
+// tick rebalances and, inside the measurement window, samples the load
+// imbalance.
+func (f *Fleet) tick(now sim.Time) {
+	f.rebalance(now)
+	if now >= f.warmup {
+		f.imbSum += f.imbalance()
+		f.imbN++
+	}
+}
+
+// depart tears down a VM whose lifetime ran out in placement stint gen.
+func (f *Fleet) depart(vm *VM, gen int, now sim.Time) {
+	if vm.Gone || gen != vm.gen {
+		// Stale: the VM already departed, or this departure belongs to
+		// a placement stint a crash has since ended.
+		return
+	}
+	h := vm.host
+	h.advance(now)
+	h.Hyp.DestroyDomain(vm.dep.Dom, now)
+	f.settle(vm, now)
+	f.vmSeconds += float64(vm.VCPUs()) * seconds(now-vm.PlacedAt)
+	vm.Gone = true
+	h.committed -= vm.VCPUs()
+	f.tenantCommitted[vm.Tenant] -= vm.VCPUs()
+	removeVM(h, vm)
+	// A departure mid-migration leaves the destination reservation
+	// in place; the migration-done event releases it as an abort.
+	f.drain(now)
+}
+
+// migDone completes the live migration of vm from src to dst that
+// started in placement stint gen — or fails it, releasing the
+// destination reservation.
+func (f *Fleet) migDone(vm *VM, src, dst *Host, gen int, now sim.Time) {
+	dst.reserved -= vm.VCPUs()
+	if vm.Gone {
+		// Torn down in flight: release the reservation, nothing moved.
+		dst.committed -= vm.VCPUs()
+		f.aborted++
+		f.drain(now)
+		return
+	}
+	if gen != vm.gen {
+		// The source host crashed mid-transfer and the VM went back
+		// through recovery: the copy in flight is worthless. Release
+		// the reservation and count a failed migration.
+		dst.committed -= vm.VCPUs()
+		f.migFailures++
+		f.drain(now)
+		return
+	}
+	if dst.down {
+		// The destination died while the transfer ran: the VM keeps
+		// running where it was.
+		dst.committed -= vm.VCPUs()
+		vm.migrating = false
+		f.migFailures++
+		f.drain(now)
+		return
+	}
+	if f.faults != nil && f.faults.MigFailProb > 0 && f.faultRNG.Float64() < f.faults.MigFailProb {
+		// Injected transfer failure (dirty-page copy never converged,
+		// network fault, ...): same outcome as a dead destination.
+		dst.committed -= vm.VCPUs()
+		vm.migrating = false
+		f.migFailures++
+		f.faultsInjected++
+		f.drain(now)
+		return
+	}
+	vm.migrating = false
+	src.advance(now)
+	dst.advance(now)
+	src.Hyp.DestroyDomain(vm.dep.Dom, now)
+	vm.runCarried = f.attained(vm, now)
+	src.committed -= vm.VCPUs()
+	removeVM(src, vm)
+	vm.host = dst
+	dst.vms = append(dst.vms, vm)
+	vm.dep = workload.Deploy(dst.Hyp, vm.App, fmt.Sprintf("v%d", vm.ID), dst.deployRNG)
+	f.migrations++
+	f.drain(now)
+}
+
+// recoverHost brings a crashed host back into the fleet.
+func (f *Fleet) recoverHost(h *Host, now sim.Time) {
+	if !h.down {
+		return
+	}
+	h.down = false
+	f.drain(now)
+}
+
+// degrade caps the host's admissions at factor × capacity for dur.
+func (f *Fleet) degrade(h *Host, factor float64, dur, now sim.Time) {
+	h.factor = factor
+	h.degradeGen++
+	f.faultsInjected++
+	gen := h.degradeGen
+	f.timeline.At(now+dur, func(now sim.Time) { f.degradeEnd(h, gen, now) })
+}
+
+// degradeEnd lifts degradation episode gen.
+func (f *Fleet) degradeEnd(h *Host, gen int, now sim.Time) {
+	if gen != h.degradeGen {
+		return // a newer degradation superseded this one
+	}
+	h.factor = 1
+	f.drain(now)
+}
+
+// retry attempts to re-place a crash victim lost in placement stint gen.
+func (f *Fleet) retry(vm *VM, gen int, now sim.Time) {
+	if vm.Gone || gen != vm.gen {
+		return
+	}
+	if vi, h, ok := f.placer.Choose(f, []*VM{vm}); ok && vi == 0 {
+		f.place(vm, h, now)
+		f.drain(now)
+		return
+	}
+	vm.retries++
+	rec := f.faults.Recovery
+	if vm.retries > rec.MaxRetries {
+		if rec.OnExhaust == "drop" {
+			vm.Gone = true
+			f.vmsLost++
+		} else {
+			// Requeue: the victim joins the tail of the regular
+			// placement queue and waits for capacity like any arrival.
+			f.pending = append(f.pending, vm)
+		}
+		return
+	}
+	f.scheduleRetry(vm, now)
 }
 
 // crash kills a host: every resident VM is lost and handed to the
@@ -555,7 +480,7 @@ func (f *Fleet) crash(h *Host, now sim.Time, down sim.Time) {
 	h.down = true
 	f.faultsInjected++
 	if down > 0 {
-		f.push(event{at: now + down, kind: evRecover, src: h})
+		f.timeline.At(now+down, func(now sim.Time) { f.recoverHost(h, now) })
 	}
 	victims := append([]*VM(nil), h.vms...)
 	h.vms = h.vms[:0]
@@ -599,7 +524,8 @@ func (f *Fleet) scheduleRetry(vm *VM, now sim.Time) {
 	for i := 0; i < vm.retries; i++ {
 		delay *= rec.Backoff
 	}
-	f.push(event{at: now + sim.Time(delay), kind: evRetry, vm: vm, gen: vm.gen})
+	gen := vm.gen
+	f.timeline.At(now+sim.Time(delay), func(now sim.Time) { f.retry(vm, gen, now) })
 }
 
 // drain admits pending VMs until the placement policy cannot (or will
@@ -640,7 +566,8 @@ func (f *Fleet) place(vm *VM, h *Host, now sim.Time) {
 		f.waitSum += now - vm.ArriveAt
 	}
 	if lifetime > 0 {
-		f.push(event{at: now + lifetime, kind: evDepart, vm: vm, gen: vm.gen})
+		gen := vm.gen
+		f.timeline.At(now+lifetime, func(now sim.Time) { f.depart(vm, gen, now) })
 	}
 }
 
@@ -688,7 +615,8 @@ func (f *Fleet) rebalance(now sim.Time) {
 		vm.migrating = true
 		dst.committed += vm.VCPUs()
 		dst.reserved += vm.VCPUs()
-		f.push(event{at: now + sim.Time(f.Spec.Rebalance.MigrationTime), kind: evMigDone, vm: vm, src: src, dst: dst, gen: vm.gen})
+		gen := vm.gen
+		f.timeline.At(now+sim.Time(f.Spec.Rebalance.MigrationTime), func(now sim.Time) { f.migDone(vm, src, dst, gen, now) })
 	}
 }
 

@@ -10,8 +10,8 @@
 // Execution splits into epochs. All events sharing the next fleet
 // timestamp t form one epoch: first every host advances its private
 // engine to t on a bounded worker pool (the epoch barrier), then the
-// epoch's events — and any same-time events they push, which carry
-// higher sequence numbers — apply single-threaded in (time, seq) order.
+// epoch's events — and any same-time events they schedule, which carry
+// higher sequence numbers — fire single-threaded in (time, seq) order.
 // Eagerly advancing a host is observationally neutral: between fleet
 // events nothing outside the host can observe or perturb its engine, so
 // running it to t early fires exactly the engine events the lazy serial
@@ -187,30 +187,22 @@ func (f *Fleet) staleHosts(t sim.Time) []*Host {
 // and then drains every host to it.
 func (f *Fleet) run() {
 	if f.pool == nil {
-		// Serial fast path (workers = 1): pop one event at a time, hosts
-		// advance lazily when an event touches them — the pre-sharding
-		// loop, kept verbatim so turning parallelism off costs nothing.
-		for len(f.heap) > 0 {
-			e := f.pop()
-			if e.at > f.end {
-				break
-			}
-			f.handle(e)
-		}
+		// Serial loop (workers = 1): events fire one at a time and hosts
+		// advance lazily when an event touches them. It is the reference
+		// the epoch loop below is tested against.
+		f.timeline.RunUntil(f.end)
 	} else {
-		for len(f.heap) > 0 {
-			t := f.heap[0].at
-			if t > f.end {
+		for {
+			t, ok := f.timeline.NextAt()
+			if !ok || t > f.end {
 				break
 			}
 			f.advanceAll(t)
-			// Apply the epoch's events in (time, seq) order. Handlers may
-			// push same-time events (a retry, a degradation end); those
-			// carry higher sequence numbers and are popped here too,
+			// Fire the epoch's events in (time, seq) order. Handlers may
+			// schedule same-time events (a retry, a degradation end);
+			// those carry higher sequence numbers and fire here too,
 			// exactly as the serial loop would order them.
-			for len(f.heap) > 0 && f.heap[0].at == t {
-				f.handle(f.pop())
-			}
+			f.timeline.RunUntil(t)
 		}
 	}
 	f.advanceAll(f.end)

@@ -119,6 +119,16 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending reports how many events are scheduled and not yet fired.
 func (e *Engine) Pending() int { return len(e.heap) }
 
+// NextAt reports the due time of the earliest pending event, or false
+// when none is pending. It fires nothing and leaves the clock alone, so
+// a driver can act at that time before the event fires.
+func (e *Engine) NextAt() (Time, bool) {
+	if len(e.heap) == 0 {
+		return 0, false
+	}
+	return e.heap[0].at, true
+}
+
 // --- slot table -----------------------------------------------------------
 
 func (e *Engine) allocSlot() int32 {

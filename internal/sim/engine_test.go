@@ -139,6 +139,43 @@ func TestEngineRunUntilIdleAdvancesClock(t *testing.T) {
 	}
 }
 
+// TestEngineNextAt: the peek reports the earliest pending due time
+// without firing anything — nothing on an empty queue, the next
+// survivor once the head is cancelled, and one time for an equal-time
+// group, which then fires in schedule order.
+func TestEngineNextAt(t *testing.T) {
+	e := NewEngine()
+	if at, ok := e.NextAt(); ok {
+		t.Errorf("empty queue: NextAt = %v, true; want false", at)
+	}
+
+	head := e.At(10, func(Time) { t.Error("cancelled head fired") })
+	e.At(30, func(Time) {})
+	e.Cancel(head)
+	if at, ok := e.NextAt(); !ok || at != 30 {
+		t.Errorf("after cancelling the head: NextAt = %v, %v; want 30, true", at, ok)
+	}
+
+	var order []int
+	for i := 0; i < 3; i++ {
+		i := i
+		e.At(20, func(Time) { order = append(order, i) })
+	}
+	if at, ok := e.NextAt(); !ok || at != 20 {
+		t.Errorf("equal-time group: NextAt = %v, %v; want 20, true", at, ok)
+	}
+	if e.Fired() != 0 || e.Now() != 0 {
+		t.Errorf("NextAt fired events or moved the clock: fired %d, now %v", e.Fired(), e.Now())
+	}
+	e.RunUntil(20)
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+		t.Errorf("equal-time events fired in order %v, want [0 1 2]", order)
+	}
+	if at, ok := e.NextAt(); !ok || at != 30 {
+		t.Errorf("after the group: NextAt = %v, %v; want 30, true", at, ok)
+	}
+}
+
 func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	count := 0
