@@ -295,6 +295,17 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// TestChurnFleetPastGeneratorCap: a churning fleet is held to the
+// fleet's own population cap (maxFleetVCPUs), not to the smaller cap of
+// the single-host scenario generator.
+func TestChurnFleetPastGeneratorCap(t *testing.T) {
+	s := genFleetSpec()
+	s.VCPUs = 100000
+	if err := s.Validate(); err != nil {
+		t.Errorf("100,000-vCPU fleet with churn rejected: %v", err)
+	}
+}
+
 func TestExplicitTimelineSortedAndTenantChecked(t *testing.T) {
 	s := explicitSpec("sort", 1, "", []VMSpec{
 		{ArriveAt: 5 * sim.Millisecond, App: cpuVM("late")},

@@ -257,11 +257,8 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("fleet %q: %v", name, err)
 	}
 	if c := s.Churn; c != nil {
-		// Reuse the generator's churn validation via a minimal GenSpec.
-		probe := scenario.GenSpec{Name: name, VCPUs: s.VCPUs, Churn: c}
-		probe.Mix, _ = scenario.ParseMix(s.Mix)
-		if err := probe.Validate(); err != nil {
-			return err
+		if err := c.Validate(); err != nil {
+			return fmt.Errorf("fleet %q: %v", name, err)
 		}
 	}
 	return nil
@@ -299,60 +296,33 @@ func (s *Spec) GenVMs() ([]VMSpec, error) {
 		ttotal += t.Weight
 		tcum = append(tcum, ttotal)
 	}
-	drawTenant := func(rng *sim.RNG) int {
+	// draw leads each VM's draws with its tenant, then synthesizes the
+	// app; tenants collects the tenant draws in VM order.
+	var tenants []int
+	draw := func(rng *sim.RNG, label uint64) workload.AppSpec {
 		u := rng.Float64() * ttotal
+		tenant := len(tcum) - 1
 		for i, c := range tcum {
 			if u < c {
-				return i
-			}
-		}
-		return len(tcum) - 1
-	}
-
-	var out []VMSpec
-	// Initial population: the same fork label the scenario generator
-	// uses for standing populations.
-	prng := sim.NewRNG(sp.GenSeed).Fork(0x5CE0)
-	budget := sp.VCPUs
-	for i := 0; budget > 0; i++ {
-		tenant := drawTenant(prng)
-		app := md.Draw(prng, uint64(i))
-		if app.Kind == workload.KindLock && app.Threads > budget {
-			app.Threads = budget
-		}
-		app.Name = fmt.Sprintf("%s-%02d", app.Name, i)
-		budget -= scenario.VCPUsOf(app)
-		out = append(out, VMSpec{Tenant: tenant, App: app})
-	}
-
-	// Churn: Poisson arrivals with exponential lifetimes from the
-	// generator's churn fork label — adding churn never perturbs the
-	// standing population's draws.
-	if sp.Churn != nil {
-		c := *sp.Churn
-		if c.Start == 0 {
-			c.Start = sim.Millis(50 * sim.Millisecond)
-		}
-		if c.MinLifetime == 0 {
-			c.MinLifetime = sim.Millis(200 * sim.Millisecond)
-		}
-		crng := sim.NewRNG(sp.GenSeed).Fork(0xC4A2)
-		meanInter := sim.Time(float64(sim.Second) / c.Rate)
-		at := sim.Time(c.Start)
-		for k := 0; c.MaxVMs == 0 || k < c.MaxVMs; k++ {
-			at += crng.ExpTime(meanInter)
-			if at >= sim.Time(c.Horizon) {
+				tenant = i
 				break
 			}
-			tenant := drawTenant(crng)
-			app := md.Draw(crng, uint64(k)+0x11)
-			app.Name = fmt.Sprintf("chn%02d-%s", k, app.Name)
-			life := crng.ExpTime(sim.Time(c.MeanLifetime))
-			if life < sim.Time(c.MinLifetime) {
-				life = sim.Time(c.MinLifetime)
-			}
-			out = append(out, VMSpec{ArriveAt: at, Lifetime: life, Tenant: tenant, App: app})
 		}
+		tenants = append(tenants, tenant)
+		return md.Draw(rng, label)
+	}
+
+	pop := scenario.Populate(sp.GenSeed, sp.VCPUs, draw)
+	var churn []scenario.Arrival
+	if sp.Churn != nil {
+		churn = sp.Churn.Arrivals(sp.GenSeed, draw)
+	}
+	out := make([]VMSpec, 0, len(pop)+len(churn))
+	for i, app := range pop {
+		out = append(out, VMSpec{Tenant: tenants[i], App: app})
+	}
+	for i, a := range churn {
+		out = append(out, VMSpec{ArriveAt: a.At, Lifetime: a.Lifetime, Tenant: tenants[len(pop)+i], App: a.Spec})
 	}
 	return out, nil
 }

@@ -77,12 +77,88 @@ type ChurnSpec struct {
 }
 
 // effectiveStart is Start with its default applied (Validate and
-// Generate must agree on it).
+// Arrivals must agree on it).
 func (c *ChurnSpec) effectiveStart() sim.Millis {
 	if c.Start == 0 {
 		return sim.Millis(50 * sim.Millisecond)
 	}
 	return c.Start
+}
+
+// Validate reports an error for an unexpandable churn block. The
+// generator and the fleet both check their churn here and name
+// themselves in the error.
+func (c *ChurnSpec) Validate() error {
+	start := c.effectiveStart()
+	switch {
+	case c.Rate <= 0 || math.IsNaN(c.Rate) || math.IsInf(c.Rate, 0):
+		return fmt.Errorf("churn arrival rate %v must be positive and finite", c.Rate)
+	case c.MeanLifetime <= 0:
+		return fmt.Errorf("churn mean lifetime %v must be positive", c.MeanLifetime)
+	case c.Horizon <= 0:
+		return fmt.Errorf("churn horizon is required (no arrivals at or after it)")
+	case c.Start < 0 || c.Horizon <= start:
+		// Validate against the same default Start that Arrivals will
+		// apply, or a tiny horizon would pass here and silently produce
+		// a churn-free "churn" scenario.
+		return fmt.Errorf("churn horizon %v must exceed start %v", c.Horizon, start)
+	case c.MinLifetime < 0 || c.MaxVMs < 0:
+		return fmt.Errorf("churn min lifetime and max VMs must be non-negative")
+	}
+	if expected := c.Rate * sim.Time(c.Horizon-start).Seconds(); expected > maxChurnArrivals {
+		return fmt.Errorf("churn expects ~%.0f arrivals, more than the %d sanity cap", expected, maxChurnArrivals)
+	}
+	return nil
+}
+
+// Arrivals draws the churn timeline: Poisson arrivals with exponential
+// lifetimes from the seed's churn fork (label 0xC4A2), so adding churn
+// never perturbs the standing population's draws. draw synthesizes each
+// arriving VM from the stream and a per-VM fork label; apps are named
+// chnNN-<name>. The generator and the fleet both draw churn here.
+func (c ChurnSpec) Arrivals(seed uint64, draw func(rng *sim.RNG, label uint64) workload.AppSpec) []Arrival {
+	minLife := sim.Time(c.MinLifetime)
+	if minLife == 0 {
+		minLife = 200 * sim.Millisecond
+	}
+	rng := sim.NewRNG(seed).Fork(0xC4A2)
+	meanInter := sim.Time(float64(sim.Second) / c.Rate)
+	at := sim.Time(c.effectiveStart())
+	var out []Arrival
+	for k := 0; c.MaxVMs == 0 || k < c.MaxVMs; k++ {
+		at += rng.ExpTime(meanInter)
+		if at >= sim.Time(c.Horizon) {
+			break
+		}
+		s := draw(rng, uint64(k)+0x11)
+		s.Name = fmt.Sprintf("chn%02d-%s", k, s.Name)
+		life := rng.ExpTime(sim.Time(c.MeanLifetime))
+		if life < minLife {
+			life = minLife
+		}
+		out = append(out, Arrival{At: at, Spec: s, Lifetime: life})
+	}
+	return out
+}
+
+// Populate draws a standing population filling budget vCPUs from the
+// seed's population fork (label 0x5CE0): draw synthesizes VM i from the
+// stream with fork label i, the last lock gang is clamped to the
+// remaining budget, and apps are named <name>-NN. The generator and the
+// fleet both populate here.
+func Populate(seed uint64, budget int, draw func(rng *sim.RNG, label uint64) workload.AppSpec) []workload.AppSpec {
+	rng := sim.NewRNG(seed).Fork(0x5CE0)
+	var out []workload.AppSpec
+	for i := 0; budget > 0; i++ {
+		s := draw(rng, uint64(i))
+		if s.Kind == workload.KindLock && s.Threads > budget {
+			s.Threads = budget
+		}
+		s.Name = fmt.Sprintf("%s-%02d", s.Name, i)
+		budget -= VCPUsOf(s)
+		out = append(out, s)
+	}
+	return out
 }
 
 // ParseMix converts a name → weight map (spec-file form) into a typed
@@ -171,8 +247,6 @@ func VCPUsOf(s workload.AppSpec) int {
 	return 1
 }
 
-func vcpusOf(s workload.AppSpec) int { return VCPUsOf(s) }
-
 // Sanity caps on generator sizes: a typo (or a fuzzer) asking for a
 // billion vCPUs or arrivals must fail validation, not exhaust memory
 // expanding the population.
@@ -209,7 +283,7 @@ func (g *GenSpec) Validate() error {
 	}
 	fixed := 0
 	for _, f := range g.Fixed {
-		fixed += vcpusOf(f)
+		fixed += VCPUsOf(f)
 	}
 	if fixed > g.VCPUs {
 		return fmt.Errorf("scenario: generator %q: fixed apps need %d vCPUs but the budget is %d", g.Name, fixed, g.VCPUs)
@@ -225,27 +299,12 @@ func (g *GenSpec) Validate() error {
 			return fmt.Errorf("scenario: generator %q: phase probability %v must be in [0, 1]", g.Name, p)
 		}
 	}
-	if g.Churn != nil {
-		c := g.Churn
-		switch {
-		case c.Rate <= 0 || math.IsNaN(c.Rate) || math.IsInf(c.Rate, 0):
-			return fmt.Errorf("scenario: generator %q: churn arrival rate %v must be positive and finite", g.Name, c.Rate)
-		case c.MeanLifetime <= 0:
-			return fmt.Errorf("scenario: generator %q: churn mean lifetime %v must be positive", g.Name, c.MeanLifetime)
-		case c.Horizon <= 0:
-			return fmt.Errorf("scenario: generator %q: churn horizon is required (no arrivals at or after it)", g.Name)
-		case c.Start < 0 || c.Horizon <= c.effectiveStart():
-			// Validate against the same default Start that Generate will
-			// apply, or a tiny horizon would pass here and silently
-			// produce a churn-free "churn" scenario.
-			return fmt.Errorf("scenario: generator %q: churn horizon %v must exceed start %v", g.Name, c.Horizon, c.effectiveStart())
-		case c.MinLifetime < 0 || c.MaxVMs < 0:
-			return fmt.Errorf("scenario: generator %q: churn min lifetime and max VMs must be non-negative", g.Name)
-		case len(g.Mix) == 0 && len(g.Phases) == 0:
-			return fmt.Errorf("scenario: generator %q: churn needs a mix or phases to draw VMs from", g.Name)
+	if c := g.Churn; c != nil {
+		if err := c.Validate(); err != nil {
+			return fmt.Errorf("scenario: generator %q: %v", g.Name, err)
 		}
-		if expected := c.Rate * sim.Time(c.Horizon-c.effectiveStart()).Seconds(); expected > maxChurnArrivals {
-			return fmt.Errorf("scenario: generator %q: churn expects ~%.0f arrivals, more than the %d sanity cap", g.Name, expected, maxChurnArrivals)
+		if len(g.Mix) == 0 && len(g.Phases) == 0 {
+			return fmt.Errorf("scenario: generator %q: churn needs a mix or phases to draw VMs from", g.Name)
 		}
 	}
 	return nil
@@ -292,7 +351,7 @@ func (g *GenSpec) Generate() (Spec, error) {
 	var apps []Entry
 	budget := g.VCPUs
 	for _, f := range g.Fixed {
-		budget -= vcpusOf(f)
+		budget -= VCPUsOf(f)
 		apps = append(apps, Entry{Spec: f, Count: 1})
 	}
 
@@ -326,44 +385,12 @@ func (g *GenSpec) Generate() (Spec, error) {
 		return cfg.Synthesize(vrng, typ, topo)
 	}
 
-	rng := sim.NewRNG(g.Seed).Fork(0x5CE0)
-	for i := 0; budget > 0; i++ {
-		s := drawApp(rng, uint64(i))
-		if s.Kind == workload.KindLock && s.Threads > budget {
-			// Clamp the last gang to the remaining budget.
-			s.Threads = budget
-		}
-		s.Name = fmt.Sprintf("%s-%02d", s.Name, i)
-		budget -= vcpusOf(s)
+	for _, s := range Populate(g.Seed, budget, drawApp) {
 		apps = append(apps, Entry{Spec: s, Count: 1})
 	}
-
-	// VM churn: a Poisson arrival process with exponential lifetimes,
-	// drawn from its own fork so adding churn never perturbs the
-	// standing population's draws.
 	var arrivals []Arrival
 	if g.Churn != nil {
-		c := *g.Churn
-		c.Start = c.effectiveStart()
-		if c.MinLifetime == 0 {
-			c.MinLifetime = sim.Millis(200 * sim.Millisecond)
-		}
-		crng := sim.NewRNG(g.Seed).Fork(0xC4A2)
-		meanInter := sim.Time(float64(sim.Second) / c.Rate)
-		at := sim.Time(c.Start)
-		for k := 0; c.MaxVMs == 0 || k < c.MaxVMs; k++ {
-			at += crng.ExpTime(meanInter)
-			if at >= sim.Time(c.Horizon) {
-				break
-			}
-			s := drawApp(crng, uint64(k)+0x11)
-			s.Name = fmt.Sprintf("chn%02d-%s", k, s.Name)
-			life := crng.ExpTime(sim.Time(c.MeanLifetime))
-			if life < sim.Time(c.MinLifetime) {
-				life = sim.Time(c.MinLifetime)
-			}
-			arrivals = append(arrivals, Arrival{At: at, Spec: s, Lifetime: life})
-		}
+		arrivals = g.Churn.Arrivals(g.Seed, drawApp)
 	}
 
 	name := g.Name
