@@ -153,40 +153,32 @@ func (o *Options) fill() {
 	}
 }
 
-// disturber returns the i-th colocated VM spec: a mix of trashing and
-// low-footprint workloads ("various workload types", Section 3.4.1).
-// Job sizes vary per instance so rotation periods decorrelate.
-func disturber(topo *hw.Topology, i int) workload.AppSpec {
-	s := workload.MicroListWalk(topo, vcputype.LLCO)
-	if i%2 == 1 {
-		s = workload.MicroListWalk(topo, vcputype.LoLCF)
+// Colo builds the paper's standard measurement environment for one
+// application (Sections 3.4.1 and 4.1) on o.Topo, with o's windows and
+// seed: the subject VM colocated with disturber VMs so that k vCPUs
+// share each pCPU. The subject gets one pCPU per vCPU, and each pCPU
+// k-1 disturbers, alternating trashing and low-footprint workloads
+// ("various workload types", Section 3.4.1) with job sizes varied per
+// instance so rotation periods decorrelate. Calibration and the
+// colocation experiments both measure here.
+func Colo(subject workload.AppSpec, k int, o Options) scenario.Spec {
+	pcpus := scenario.VCPUsOf(subject)
+	ids := make([]hw.PCPUID, pcpus)
+	for i := range ids {
+		ids[i] = hw.PCPUID(i)
 	}
-	s.Steady = false // disturbers keep housekeeping pauses: schedule drift
-	s.JobWork += sim.Time(i%5) * 1700 * sim.Microsecond
-	return s
-}
-
-// caseSpec builds the colocation scenario for one calibration case at
-// consolidation ratio k. Single-vCPU subjects run on one pCPU with k-1
-// disturbers; multi-vCPU subjects (kernbench) run on as many pCPUs as
-// they have vCPUs, with (k-1) disturbers per pCPU.
-func caseSpec(c Case, k int, o Options) scenario.Spec {
-	subjectVCPUs := 1
-	if c.Spec.Kind == workload.KindLock {
-		subjectVCPUs = c.Spec.Threads
-	}
-	pcpus := subjectVCPUs
-	var ids []hw.PCPUID
-	for i := 0; i < pcpus; i++ {
-		ids = append(ids, hw.PCPUID(i))
-	}
-	apps := []scenario.Entry{{Spec: c.Spec, Count: 1}}
-	nDist := (k - 1) * pcpus
-	for i := 0; i < nDist; i++ {
-		apps = append(apps, scenario.Entry{Spec: disturber(o.Topo, i), Count: 1})
+	apps := []scenario.Entry{{Spec: subject, Count: 1}}
+	for i := 0; i < (k-1)*pcpus; i++ {
+		d := workload.MicroListWalk(o.Topo, vcputype.LLCO)
+		if i%2 == 1 {
+			d = workload.MicroListWalk(o.Topo, vcputype.LoLCF)
+		}
+		d.Steady = false // disturbers keep housekeeping pauses: schedule drift
+		d.JobWork += sim.Time(i%5) * 1700 * sim.Microsecond
+		apps = append(apps, scenario.Entry{Spec: d, Count: 1})
 	}
 	return scenario.Spec{
-		Name:       fmt.Sprintf("calib-%s-k%d", c.Label, k),
+		Name:       fmt.Sprintf("colo-%s-k%d", subject.Name, k),
 		Topo:       o.Topo,
 		GuestPCPUs: ids,
 		Apps:       apps,
@@ -201,7 +193,7 @@ func caseSpec(c Case, k int, o Options) scenario.Spec {
 func measure(c Case, q sim.Time, k int, o Options) float64 {
 	sum := 0.0
 	for r := 0; r < o.Repeats; r++ {
-		spec := caseSpec(c, k, o)
+		spec := Colo(c.Spec, k, o)
 		spec.Seed = o.Seed + uint64(r)*7919
 		res := scenario.Run(spec, baselines.FixedQuantum{Q: q})
 		// A failed measurement (no jobs at all) contributes 0, exactly
@@ -299,14 +291,13 @@ func lockDuration(q sim.Time, o Options) (mean, max sim.Time) {
 	// Longer critical sections than the throughput micro-benchmark so
 	// that slice boundaries land inside holds often enough for the
 	// worst-hold statistic to stabilise within the measurement window.
-	spec := workload.MicroKernbench(4)
-	spec.Hold = 200 * sim.Microsecond
-	spec.Gap = 600 * sim.Microsecond
-	c := Case{Label: "lock", Type: vcputype.ConSpin, Spec: spec}
+	app := workload.MicroKernbench(4)
+	app.Hold = 200 * sim.Microsecond
+	app.Gap = 600 * sim.Microsecond
 	var meanSum sim.Time
 	n := 0
 	for r := 0; r < o.Repeats; r++ {
-		spec := caseSpec(c, 4, o)
+		spec := Colo(app, 4, o)
 		spec.Seed = o.Seed + uint64(r)*7919
 		res := scenario.Run(spec, baselines.FixedQuantum{Q: q})
 		for _, d := range res.Deps {

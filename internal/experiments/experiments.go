@@ -25,14 +25,12 @@
 package experiments
 
 import (
-	"fmt"
-
+	"aqlsched/internal/calib"
 	"aqlsched/internal/catalog"
 	"aqlsched/internal/hw"
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/sim"
 	"aqlsched/internal/sweep"
-	"aqlsched/internal/vcputype"
 	"aqlsched/internal/workload"
 )
 
@@ -91,41 +89,10 @@ func (c Config) windows() (sim.Time, sim.Time) {
 	return 2 * sim.Second, 6 * sim.Second
 }
 
-// Colo builds the paper's standard measurement environment for one
-// application: the subject VM colocated with disturber VMs so that k
-// vCPUs share each pCPU (Sections 3.4.1 and 4.1). Single-vCPU subjects
-// get one pCPU; multi-vCPU subjects get one pCPU per vCPU.
+// Colo is the paper's standard measurement environment for one
+// application (calib.Colo) on a fresh i7-3770 with cfg's windows and
+// seed.
 func Colo(app workload.AppSpec, k int, cfg Config) scenario.Spec {
-	topo := hw.I73770()
-	subjectVCPUs := 1
-	if app.Kind == workload.KindLock {
-		subjectVCPUs = app.Threads
-		if subjectVCPUs <= 0 {
-			subjectVCPUs = 4
-		}
-	}
-	var ids []hw.PCPUID
-	for i := 0; i < subjectVCPUs; i++ {
-		ids = append(ids, hw.PCPUID(i))
-	}
-	apps := []scenario.Entry{{Spec: app, Count: 1}}
-	for i := 0; i < (k-1)*subjectVCPUs; i++ {
-		d := workload.MicroListWalk(topo, vcputype.LLCO)
-		if i%2 == 1 {
-			d = workload.MicroListWalk(topo, vcputype.LoLCF)
-		}
-		d.Steady = false // disturbers keep housekeeping pauses: schedule drift
-		d.JobWork += sim.Time(i%5) * 1700 * sim.Microsecond
-		apps = append(apps, scenario.Entry{Spec: d, Count: 1})
-	}
 	warm, meas := cfg.windows()
-	return scenario.Spec{
-		Name:       fmt.Sprintf("colo-%s-k%d", app.Name, k),
-		Topo:       topo,
-		GuestPCPUs: ids,
-		Apps:       apps,
-		Warmup:     warm,
-		Measure:    meas,
-		Seed:       cfg.seed(),
-	}
+	return calib.Colo(app, k, calib.Options{Topo: hw.I73770(), Warmup: warm, Measure: meas, Seed: cfg.seed()})
 }
