@@ -114,7 +114,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // one checkpoint line per completed run, in strict run-index order.
 // Each line is the journal checkpoint verbatim, so the stream's bytes
 // are exactly the crash-safe on-disk record. ?after=<index> resumes a
-// stream after the given run index — the cursor survives client
+// stream after the given run index (-1, the default, streams from the
+// start; anything lower is a 400) — the cursor survives client
 // reconnects and daemon restarts because the order is a pure function
 // of the (deterministic) run matrix. The stream follows a live job
 // until it reaches a terminal state, then ends.
@@ -123,6 +124,9 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	after := -1
 	if q := r.URL.Query().Get("after"); q != "" {
 		n, err := strconv.Atoi(q)
+		if err == nil && n < -1 {
+			err = fmt.Errorf("run index %d is below -1", n)
+		}
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "after: %v", err)
 			return

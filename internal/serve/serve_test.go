@@ -517,6 +517,29 @@ func TestHTTPSubmitTooLarge(t *testing.T) {
 	}
 }
 
+// TestHTTPResultsBadCursor: a results cursor that is not an integer
+// ≥ -1 is refused with 400 before the stream starts.
+func TestHTTPResultsBadCursor(t *testing.T) {
+	s := newTestServer(t, t.TempDir())
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	view := submitJSON(t, ts, fmt.Sprintf(`{"user":"ada","spec":%s}`, testSpecJSON))
+	for _, after := range []string{"x", "-2", "-100"} {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + view.ID + "/results?after=" + after)
+		if err != nil {
+			t.Fatalf("after=%s: %v", after, err)
+		}
+		var e map[string]string
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || e["error"] == "" {
+			t.Fatalf("after=%s: status %d, error %q; want 400 with an error", after, resp.StatusCode, e["error"])
+		}
+	}
+}
+
 // TestCancelQueuedJob: canceling a queued job is immediate and
 // terminal, and frees nothing that was not running.
 func TestCancelQueuedJob(t *testing.T) {
