@@ -297,32 +297,29 @@ func (s *Spec) GenVMs() ([]VMSpec, error) {
 		tcum = append(tcum, ttotal)
 	}
 	// draw leads each VM's draws with its tenant, then synthesizes the
-	// app; tenants collects the tenant draws in VM order.
-	var tenants []int
+	// app; the emit callbacks, which run right after each draw, pair the
+	// finished app with that tenant.
+	tenant := 0
 	draw := func(rng *sim.RNG, label uint64) workload.AppSpec {
 		u := rng.Float64() * ttotal
-		tenant := len(tcum) - 1
+		tenant = len(tcum) - 1
 		for i, c := range tcum {
 			if u < c {
 				tenant = i
 				break
 			}
 		}
-		tenants = append(tenants, tenant)
 		return md.Draw(rng, label)
 	}
 
-	pop := scenario.Populate(sp.GenSeed, sp.VCPUs, draw)
-	var churn []scenario.Arrival
+	var out []VMSpec
+	scenario.Populate(sp.GenSeed, sp.VCPUs, draw, func(app workload.AppSpec) {
+		out = append(out, VMSpec{Tenant: tenant, App: app})
+	})
 	if sp.Churn != nil {
-		churn = sp.Churn.Arrivals(sp.GenSeed, draw)
-	}
-	out := make([]VMSpec, 0, len(pop)+len(churn))
-	for i, app := range pop {
-		out = append(out, VMSpec{Tenant: tenants[i], App: app})
-	}
-	for i, a := range churn {
-		out = append(out, VMSpec{ArriveAt: a.At, Lifetime: a.Lifetime, Tenant: tenants[len(pop)+i], App: a.Spec})
+		sp.Churn.Arrivals(sp.GenSeed, draw, func(a scenario.Arrival) {
+			out = append(out, VMSpec{ArriveAt: a.At, Lifetime: a.Lifetime, Tenant: tenant, App: a.Spec})
+		})
 	}
 	return out, nil
 }

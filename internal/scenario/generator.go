@@ -114,9 +114,10 @@ func (c *ChurnSpec) Validate() error {
 // Arrivals draws the churn timeline: Poisson arrivals with exponential
 // lifetimes from the seed's churn fork (label 0xC4A2), so adding churn
 // never perturbs the standing population's draws. draw synthesizes each
-// arriving VM from the stream and a per-VM fork label; apps are named
-// chnNN-<name>. The generator and the fleet both draw churn here.
-func (c ChurnSpec) Arrivals(seed uint64, draw func(rng *sim.RNG, label uint64) workload.AppSpec) []Arrival {
+// arriving VM from the stream and a per-VM fork label; emit receives
+// each arrival, its app named chnNN-<name>, right after its draw. The
+// generator and the fleet both draw churn here.
+func (c ChurnSpec) Arrivals(seed uint64, draw func(rng *sim.RNG, label uint64) workload.AppSpec, emit func(Arrival)) {
 	minLife := sim.Time(c.MinLifetime)
 	if minLife == 0 {
 		minLife = 200 * sim.Millisecond
@@ -124,7 +125,6 @@ func (c ChurnSpec) Arrivals(seed uint64, draw func(rng *sim.RNG, label uint64) w
 	rng := sim.NewRNG(seed).Fork(0xC4A2)
 	meanInter := sim.Time(float64(sim.Second) / c.Rate)
 	at := sim.Time(c.effectiveStart())
-	var out []Arrival
 	for k := 0; c.MaxVMs == 0 || k < c.MaxVMs; k++ {
 		at += rng.ExpTime(meanInter)
 		if at >= sim.Time(c.Horizon) {
@@ -136,19 +136,17 @@ func (c ChurnSpec) Arrivals(seed uint64, draw func(rng *sim.RNG, label uint64) w
 		if life < minLife {
 			life = minLife
 		}
-		out = append(out, Arrival{At: at, Spec: s, Lifetime: life})
+		emit(Arrival{At: at, Spec: s, Lifetime: life})
 	}
-	return out
 }
 
 // Populate draws a standing population filling budget vCPUs from the
 // seed's population fork (label 0x5CE0): draw synthesizes VM i from the
 // stream with fork label i, the last lock gang is clamped to the
-// remaining budget, and apps are named <name>-NN. The generator and the
-// fleet both populate here.
-func Populate(seed uint64, budget int, draw func(rng *sim.RNG, label uint64) workload.AppSpec) []workload.AppSpec {
+// remaining budget, and emit receives each app, named <name>-NN, right
+// after its draw. The generator and the fleet both populate here.
+func Populate(seed uint64, budget int, draw func(rng *sim.RNG, label uint64) workload.AppSpec, emit func(workload.AppSpec)) {
 	rng := sim.NewRNG(seed).Fork(0x5CE0)
-	var out []workload.AppSpec
 	for i := 0; budget > 0; i++ {
 		s := draw(rng, uint64(i))
 		if s.Kind == workload.KindLock && s.Threads > budget {
@@ -156,9 +154,8 @@ func Populate(seed uint64, budget int, draw func(rng *sim.RNG, label uint64) wor
 		}
 		s.Name = fmt.Sprintf("%s-%02d", s.Name, i)
 		budget -= VCPUsOf(s)
-		out = append(out, s)
+		emit(s)
 	}
-	return out
 }
 
 // ParseMix converts a name → weight map (spec-file form) into a typed
@@ -385,12 +382,12 @@ func (g *GenSpec) Generate() (Spec, error) {
 		return cfg.Synthesize(vrng, typ, topo)
 	}
 
-	for _, s := range Populate(g.Seed, budget, drawApp) {
+	Populate(g.Seed, budget, drawApp, func(s workload.AppSpec) {
 		apps = append(apps, Entry{Spec: s, Count: 1})
-	}
+	})
 	var arrivals []Arrival
 	if g.Churn != nil {
-		arrivals = g.Churn.Arrivals(g.Seed, drawApp)
+		g.Churn.Arrivals(g.Seed, drawApp, func(a Arrival) { arrivals = append(arrivals, a) })
 	}
 
 	name := g.Name
