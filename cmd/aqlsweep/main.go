@@ -65,7 +65,7 @@ func main() {
 		listMetrics = flag.Bool("list-metrics", false, "list the metric registry (name, unit, direction, aggregation, scope), then exit")
 		metricsSel  = flag.String("metrics", "", "comma-separated metric names to emit (default: all; see -list-metrics)")
 		workers     = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-		fleetWork   = flag.Int("fleet-workers", 0, "shard each fleet run's host advances across this many goroutines (0 = the spec's hint, else GOMAXPROCS; 1 = serial; results are byte-identical at any value)")
+		fleetWork   = flag.Int("fleet-workers", 0, "goroutines advancing each fleet run's hosts at every epoch barrier (0 = GOMAXPROCS; results are byte-identical at any value)")
 		out         = flag.String("out", "", "output directory for <name>.json/.csv/.txt artifacts (also enables the crash-safe run journal)")
 		resume      = flag.String("resume", "", "resume an interrupted sweep from its journal directory (<out>/<name>.journal); journaled runs are skipped")
 		runTimeout  = flag.Duration("run-timeout", 10*time.Minute, "per-run watchdog: a run still executing after this is marked FAILED (0 disables)")
@@ -151,6 +151,10 @@ func main() {
 		if *quick {
 			spec.Warmup = 1 * sim.Second
 			spec.Measure = 2500 * sim.Millisecond
+		}
+		if err := spec.Validate(); err != nil {
+			fmt.Fprintf(os.Stderr, "aqlsweep: %v\n", err)
+			os.Exit(2)
 		}
 		if outDir != "" {
 			journal, err = createJournal(spec, src, builtin, outDir)

@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -89,5 +90,19 @@ func TestExitCodeOnFailedCells(t *testing.T) {
 	code, out = exitCode(t, bin, "-q", "-spec", spec)
 	if code != 0 {
 		t.Fatalf("clean sweep exited %d, want 0\n%s", code, out)
+	}
+}
+
+// TestRunMatrixCap: a -seeds override that pushes the run matrix past
+// the sanity cap is a usage error (exit 2) reported before the matrix is
+// expanded, not an allocation panic.
+func TestRunMatrixCap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	bin := buildBinary(t)
+	code, out := exitCode(t, bin, "-q", "-spec", "bench", "-seeds", "1099511627776")
+	if code != 2 || !strings.Contains(out, "sanity cap") || strings.Contains(out, "panic:") {
+		t.Fatalf("aqlsweep -seeds 1099511627776 exited %d, want 2 with the cap message and no panic\n%s", code, out)
 	}
 }

@@ -39,7 +39,7 @@ func main() {
 	data := flag.String("data", "", "persistent data directory for the job queue (required)")
 	jobSlots := flag.Int("job-slots", 1, "jobs executing concurrently")
 	workers := flag.Int("workers", 0, "sweep worker goroutines per job (0 = GOMAXPROCS)")
-	fleetWorkers := flag.Int("fleet-workers", 0, "host-advance shards per fleet run (0 = spec hint)")
+	fleetWorkers := flag.Int("fleet-workers", 0, "goroutines advancing each fleet run's hosts (0 = GOMAXPROCS)")
 	runTimeout := flag.Duration("run-timeout", 0, "per-run wall-clock watchdog (0 = none)")
 	benchDir := flag.String("bench-dir", ".", "directory holding the BENCH_*.json trajectory for /v1/bench")
 	flag.Parse()

@@ -145,16 +145,6 @@ type Fleet struct {
 	// its gen and turn into no-ops once the world has moved on.
 	timeline *sim.Engine
 
-	// pool, when non-nil, shards per-host engine advancement across
-	// worker goroutines at every epoch barrier (see parallel.go). It is
-	// execution machinery only: results are byte-identical with or
-	// without it.
-	pool *advancePool
-	// advances counts per-host advance calls actually issued by the
-	// epoch barriers — hosts already at the barrier time are skipped, so
-	// this is an efficiency probe for advanceAll, not a result metric.
-	advances int
-
 	// Fault state: faults is the plan with defaults applied (nil when
 	// the spec injects none); faultRNG drives the per-run migration
 	// failure draws, consumed in central-timeline order.
@@ -184,10 +174,9 @@ type Options struct {
 	// (nil = the unmodified credit scheduler). Each host gets its own
 	// instance so policies that capture controllers stay host-local.
 	NewPolicy func() scenario.Policy
-	// Workers bounds the shard-worker pool advancing host engines in
-	// parallel between fleet events (0 = the spec's Workers hint, else
-	// GOMAXPROCS; 1 = the serial loop; capped at the host count).
-	// Results are byte-identical at any value.
+	// Workers bounds the goroutines advancing host engines at each epoch
+	// barrier (0 = GOMAXPROCS; capped at the host count). Every value
+	// runs the same epoch loop; results are byte-identical at any value.
 	Workers int
 }
 
@@ -285,18 +274,7 @@ func Run(spec Spec, opts Options) *Result {
 		}
 	}
 
-	if workers := resolveWorkers(opts.Workers, sp.Workers, sp.Hosts); workers > 1 {
-		pool := newAdvancePool(workers)
-		f.pool = pool
-		// Release the workers on every exit path (including a propagated
-		// host panic) and detach the pool: the Fleet outlives Run inside
-		// Result.Fleet, and nothing after this point may use barriers.
-		defer func() {
-			f.pool = nil
-			pool.close()
-		}()
-	}
-	f.run()
+	f.run(resolveWorkers(opts.Workers, sp.Hosts))
 	for _, vm := range f.VMs {
 		if vm.Placed && !vm.Gone {
 			f.settle(vm, f.end)
@@ -318,12 +296,10 @@ func (f *Fleet) arrive(vm *VM, now sim.Time) {
 	f.drain(now)
 }
 
-// measureStart is one global barrier: every host advances to the window
-// edge so attained-time watermarks are read at one consistent instant.
-// (In epoch mode the epoch barrier already did this; these advances are
-// then no-ops.)
+// measureStart reads every VM's attained-time watermark at the window
+// edge; the epoch barrier has already brought every host there, so all
+// watermarks share one instant.
 func (f *Fleet) measureStart(now sim.Time) {
-	f.advanceAll(now)
 	for _, vm := range f.VMs {
 		if vm.Placed && !vm.Gone {
 			vm.baseRun = f.attained(vm, now)
@@ -349,7 +325,6 @@ func (f *Fleet) depart(vm *VM, gen int, now sim.Time) {
 		return
 	}
 	h := vm.host
-	h.advance(now)
 	h.Hyp.DestroyDomain(vm.dep.Dom, now)
 	f.settle(vm, now)
 	f.vmSeconds += float64(vm.VCPUs()) * seconds(now-vm.PlacedAt)
@@ -403,8 +378,6 @@ func (f *Fleet) migDone(vm *VM, src, dst *Host, gen int, now sim.Time) {
 		return
 	}
 	vm.migrating = false
-	src.advance(now)
-	dst.advance(now)
 	src.Hyp.DestroyDomain(vm.dep.Dom, now)
 	vm.runCarried = f.attained(vm, now)
 	src.committed -= vm.VCPUs()
@@ -476,7 +449,6 @@ func (f *Fleet) crash(h *Host, now sim.Time, down sim.Time) {
 	if h.down {
 		return
 	}
-	h.advance(now)
 	h.down = true
 	f.faultsInjected++
 	if down > 0 {
@@ -543,7 +515,6 @@ func (f *Fleet) drain(now sim.Time) {
 }
 
 func (f *Fleet) place(vm *VM, h *Host, now sim.Time) {
-	h.advance(now)
 	h.committed += vm.VCPUs()
 	f.tenantCommitted[vm.Tenant] += vm.VCPUs()
 	vm.host = h
@@ -640,8 +611,8 @@ func (f *Fleet) imbalance() float64 {
 
 // attained is the VM's total attained vCPU execution time: runtime
 // carried from previous hosts plus the current deployment's, including
-// the in-flight slice of currently running vCPUs. The caller must have
-// advanced the VM's host to now.
+// the in-flight slice of currently running vCPUs. The VM's host must
+// stand at now, as every host does while an epoch's events fire.
 func (f *Fleet) attained(vm *VM, now sim.Time) sim.Time {
 	att := vm.runCarried
 	if vm.dep != nil {

@@ -8,14 +8,14 @@
 // Determinism is inherited from the layers below and preserved at the
 // merge points: every cross-host event (arrival, departure, migration
 // completion, rebalance tick) lives on one central timeline ordered by
-// (time, sequence), hosts advance their private engines only to event
-// times that concern them, and every random draw forks from either the
-// population seed (the VM timeline) or the run seed (per-host
-// simulation) by fixed labels. The same Spec therefore produces
-// bit-identical results for any sweep worker count — and, because the
-// epoch-parallel run loop (parallel.go) only moves host-private engine
-// work onto worker goroutines between central events, for any intra-run
-// shard-worker count too.
+// (time, sequence), every host advances its private engine to each event
+// time at one barrier before that time's events fire, and every random
+// draw forks from either the population seed (the VM timeline) or the
+// run seed (per-host simulation) by fixed labels. The same Spec
+// therefore produces bit-identical results for any sweep worker count —
+// and, because the epoch loop (parallel.go) only moves host-private
+// engine work onto worker goroutines at those barriers, for any
+// intra-run shard-worker count too.
 package fleet
 
 import (
@@ -137,12 +137,6 @@ type Spec struct {
 	// Faults, when non-nil, injects host crashes, transient degradation
 	// and migration failures on a seeded schedule (see FaultPlan).
 	Faults *FaultPlan `json:"faults,omitempty"`
-	// Workers is an execution hint: the shard-worker count for this
-	// fleet's run loop (0 = GOMAXPROCS, 1 = serial; Options.Workers
-	// overrides it). It never influences results — artifacts are
-	// byte-identical at any value — it only tunes how many cores one
-	// run may use, e.g. from a spec file's {"fleet": {"workers": N}}.
-	Workers int `json:"workers,omitempty"`
 	// Warmup and Measure window the run (defaults 500 ms / 1 s).
 	Warmup  sim.Time `json:"-"`
 	Measure sim.Time `json:"-"`
@@ -210,9 +204,6 @@ func (s *Spec) Validate() error {
 	}
 	if p := s.Placement; p != "" && !Placements.Has(p) {
 		return fmt.Errorf("fleet %q: unknown placement policy %q (known: %v)", name, p, Placements.Names())
-	}
-	if s.Workers < 0 {
-		return fmt.Errorf("fleet %q: workers hint must be non-negative, got %d", name, s.Workers)
 	}
 	seen := map[string]bool{}
 	for i, t := range s.Tenants {

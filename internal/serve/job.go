@@ -253,6 +253,9 @@ func (r *SubmitRequest) buildManifest() (sweep.Manifest, error) {
 		spec.Warmup = 1 * sim.Second
 		spec.Measure = 2500 * sim.Millisecond
 	}
+	if err := spec.Validate(); err != nil {
+		return sweep.Manifest{}, err
+	}
 	return sweep.NewManifest(spec, src, builtin), nil
 }
 

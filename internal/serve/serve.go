@@ -36,7 +36,7 @@ type Config struct {
 	JobSlots int
 	// SweepWorkers is the per-job sweep worker pool (0 = GOMAXPROCS).
 	SweepWorkers int
-	// FleetWorkers shards fleet runs inside each job (0 = spec hint).
+	// FleetWorkers shards fleet runs inside each job (0 = GOMAXPROCS).
 	FleetWorkers int
 	// RunTimeout bounds each run's wall clock (0 = none).
 	RunTimeout time.Duration

@@ -469,11 +469,12 @@ func TestHTTPSubmitValidation(t *testing.T) {
 	defer ts.Close()
 
 	for _, body := range []string{
-		`{"spec":` + testSpecJSON + `}`,                  // no user
-		`{"user":"ada"}`,                                 // no spec
-		`{"user":"ada","builtin":"nope"}`,                // unknown builtin
-		`{"user":"ada","builtin":"genmix","spec":{}}`,    // both
-		`{"user":"ada","builtin":"genmix","bogus":true}`, // unknown field
+		`{"spec":` + testSpecJSON + `}`,                        // no user
+		`{"user":"ada"}`,                                       // no spec
+		`{"user":"ada","builtin":"nope"}`,                      // unknown builtin
+		`{"user":"ada","builtin":"genmix","spec":{}}`,          // both
+		`{"user":"ada","builtin":"genmix","bogus":true}`,       // unknown field
+		`{"user":"u","builtin":"bench","seeds":1099511627776}`, // run matrix past the cap
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -1,6 +1,10 @@
 package sim
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+)
 
 // Millis is a simulated duration that spec files spell as an integer
 // count of milliseconds ("at_ms": 120). The value is held in Time units
@@ -9,8 +13,9 @@ import "encoding/json"
 type Millis Time
 
 // UnmarshalJSON reads an integer millisecond count, rejecting exactly
-// what an int64 field rejects (fractions such as 1.5, quoted numbers).
-// null leaves the value unchanged, as it does for an int64.
+// what an int64 field rejects (fractions such as 1.5, quoted numbers)
+// plus counts FromMillis rejects. null leaves the value unchanged, as it
+// does for an int64.
 func (m *Millis) UnmarshalJSON(data []byte) error {
 	if string(data) == "null" {
 		return nil
@@ -19,9 +24,24 @@ func (m *Millis) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &ms); err != nil {
 		return err
 	}
-	*m = Millis(Time(ms) * Millisecond)
+	t, err := FromMillis(ms)
+	if err != nil {
+		return err
+	}
+	*m = Millis(t)
 	return nil
 }
 
 // String formats the duration like Time.
 func (m Millis) String() string { return Time(m).String() }
+
+// FromMillis converts a millisecond count to Time. It is the one place
+// spec-file "*_ms" values enter the simulated clock, and it rejects
+// counts whose microsecond value overflows int64 instead of letting the
+// product wrap to an unrelated duration.
+func FromMillis(ms int64) (Time, error) {
+	if ms > math.MaxInt64/int64(Millisecond) || ms < math.MinInt64/int64(Millisecond) {
+		return 0, fmt.Errorf("%d ms overflows the simulated clock", ms)
+	}
+	return Time(ms) * Millisecond, nil
+}

@@ -32,4 +32,17 @@ func TestMillisDecodesIntegerMilliseconds(t *testing.T) {
 			t.Errorf("Millis accepted %s", bad)
 		}
 	}
+	// Counts an int64 holds but whose µs value does not must fail, not
+	// wrap (18446744073709552 ms would wrap to 384 µs).
+	for _, bad := range []string{`18446744073709552`, `9223372036854776`, `-9223372036854776`} {
+		if err := json.Unmarshal([]byte(`{"d_ms": `+bad+`}`), &v); err == nil {
+			t.Errorf("Millis accepted the overflowing count %s as %d", bad, v.D)
+		}
+	}
+	// The largest counts that fit still decode exactly.
+	for _, ms := range []int64{9223372036854775, -9223372036854775} {
+		if got, err := FromMillis(ms); err != nil || got != Time(ms)*Millisecond {
+			t.Errorf("FromMillis(%d) = %d, %v", ms, got, err)
+		}
+	}
 }

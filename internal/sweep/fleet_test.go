@@ -106,6 +106,18 @@ var fleetErrorCases = []specErrorCase{
 		`{"scenarios": [{"fleet": {"hosts": 2, "vcpus": 8, "mix": {"IOInt": 1}, "hypervisor": "kvm"}}], "policies": ["xen"]}`,
 		"hypervisor",
 	},
+	{
+		// Execution tuning lives in Options.FleetWorkers, never in the
+		// spec: the old {"workers": N} hint is an unknown key now.
+		"workers hint key",
+		`{"scenarios": [{"fleet": {"hosts": 2, "vcpus": 8, "mix": {"IOInt": 1}, "workers": 3}}], "policies": ["xen"]}`,
+		"workers",
+	},
+	{
+		"overflowing every_ms",
+		`{"scenarios": [{"fleet": {"hosts": 2, "vcpus": 8, "mix": {"IOInt": 1}, "rebalance": {"every_ms": 18446744073709552}}}], "policies": ["xen"]}`,
+		"overflows",
+	},
 }
 
 func TestSpecFileFleetErrorPaths(t *testing.T) {

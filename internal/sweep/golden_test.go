@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -26,7 +27,7 @@ func TestGoldenBenchArtifacts(t *testing.T) {
 		t.Skip("bench sweep is ~100ms per worker; skipped in -short")
 	}
 	var jsonBuf, csvBuf bytes.Buffer
-	writeBuiltinArtifacts(t, "bench", &jsonBuf, &csvBuf)
+	writeBuiltinArtifacts(t, "bench", Options{}, &jsonBuf, &csvBuf)
 	checkGolden(t, "bench.golden.json", jsonBuf.Bytes())
 	checkGolden(t, "bench.golden.csv", csvBuf.Bytes())
 }
@@ -37,28 +38,34 @@ func TestGoldenBenchArtifacts(t *testing.T) {
 // Between them they drive the central timeline through arrivals, churn,
 // rebalancing, live migration, crashes, degradations and recovery
 // retries, so a change to event order or to the population draws shows
-// up here as a byte diff.
+// up here as a byte diff. It runs at one and at three shard workers
+// against the same golden, so the file pins the epoch loop at a fixed
+// worker count whatever GOMAXPROCS the machine has.
 func TestGoldenFleetArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the 100-host fleet; skipped in -short")
 	}
-	var jsonBuf, csvBuf bytes.Buffer
-	for _, name := range []string{"fleet", "faultfleet"} {
-		writeBuiltinArtifacts(t, name, &jsonBuf, &csvBuf)
+	for _, fw := range []int{1, 3} {
+		t.Run(fmt.Sprintf("fleet-workers=%d", fw), func(t *testing.T) {
+			var jsonBuf, csvBuf bytes.Buffer
+			for _, name := range []string{"fleet", "faultfleet"} {
+				writeBuiltinArtifacts(t, name, Options{FleetWorkers: fw}, &jsonBuf, &csvBuf)
+			}
+			checkGolden(t, "fleet.golden.json", jsonBuf.Bytes())
+			checkGolden(t, "fleet.golden.csv", csvBuf.Bytes())
+		})
 	}
-	checkGolden(t, "fleet.golden.json", jsonBuf.Bytes())
-	checkGolden(t, "fleet.golden.csv", csvBuf.Bytes())
 }
 
-// writeBuiltinArtifacts executes the named built-in sweep and appends
-// its JSON and CSV artifacts to the two buffers.
-func writeBuiltinArtifacts(t *testing.T, name string, jsonBuf, csvBuf *bytes.Buffer) {
+// writeBuiltinArtifacts executes the named built-in sweep under opts and
+// appends its JSON and CSV artifacts to the two buffers.
+func writeBuiltinArtifacts(t *testing.T, name string, opts Options, jsonBuf, csvBuf *bytes.Buffer) {
 	t.Helper()
 	spec, ok := Builtin(name)
 	if !ok {
 		t.Fatalf("built-in %s sweep missing", name)
 	}
-	res, err := Exec(spec, Options{})
+	res, err := Exec(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,6 +112,9 @@ func (m *Manifest) Rebuild() (*Spec, error) {
 	spec.BaseSeed = m.BaseSeed
 	spec.Warmup = sim.Time(m.WarmupNS)
 	spec.Measure = sim.Time(m.MeasureNS)
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("sweep: manifest: %v", err)
+	}
 	if got := NewManifest(spec, []byte(m.SpecJSON), m.Builtin).Fingerprint; got != m.Fingerprint {
 		return nil, fmt.Errorf("sweep: manifest fingerprint mismatch (the built-in or binary changed since the journal was written)")
 	}

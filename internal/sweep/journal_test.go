@@ -102,6 +102,16 @@ func TestManifestSpecBytesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestManifestRebuildRejectsHugeMatrix: a manifest whose seed override
+// pushes the run matrix past the cap fails Rebuild with an error, not
+// with a panic while the matrix is expanded.
+func TestManifestRebuildRejectsHugeMatrix(t *testing.T) {
+	m := Manifest{Builtin: "bench", Seeds: 1 << 40}
+	if _, err := m.Rebuild(); err == nil || !strings.Contains(err.Error(), "sanity cap") {
+		t.Fatalf("Rebuild of a %d-seed manifest: err = %v, want the run cap", m.Seeds, err)
+	}
+}
+
 func TestJournalRejectsForeignSpec(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "j")
 	if _, err := CreateJournal(dir, Manifest{Name: "a", Fingerprint: FingerprintSpec([]byte("spec-a")), Runs: 4}); err != nil {

@@ -2,14 +2,14 @@ package sweep
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
 // TestFleetWorkersDeterminism: intra-run sharding, alone and nested
 // under sweep-level parallelism, must leave every artifact byte
 // untouched — the faultSpecJSON grid exercises crashes, storms, flaky
-// migrations and recovery retries through the epoch-parallel loop.
+// migrations and recovery retries through the epoch loop, with one
+// shard worker as the reference.
 func TestFleetWorkersDeterminism(t *testing.T) {
 	artifacts := func(opts Options) (string, string) {
 		spec, err := Parse([]byte(faultSpecJSON))
@@ -35,7 +35,7 @@ func TestFleetWorkersDeterminism(t *testing.T) {
 		return j.String(), c.String()
 	}
 
-	jSerial, cSerial := artifacts(Options{Workers: 1, FleetWorkers: 1})
+	jOne, cOne := artifacts(Options{Workers: 1, FleetWorkers: 1})
 	cases := []struct {
 		name string
 		opts Options
@@ -45,62 +45,11 @@ func TestFleetWorkersDeterminism(t *testing.T) {
 	}
 	for _, c := range cases {
 		j, cs := artifacts(c.opts)
-		if j != jSerial {
-			t.Errorf("%s: JSON artifact differs from the serial run", c.name)
+		if j != jOne {
+			t.Errorf("%s: JSON artifact differs from the one-worker run", c.name)
 		}
-		if cs != cSerial {
-			t.Errorf("%s: CSV artifact differs from the serial run", c.name)
+		if cs != cOne {
+			t.Errorf("%s: CSV artifact differs from the one-worker run", c.name)
 		}
-	}
-}
-
-// TestFleetWorkersSpecHint: the {"fleet": {"workers": N}} spec knob
-// reaches fleet.Spec and, being an execution hint, changes nothing in
-// the artifacts.
-func TestFleetWorkersSpecHint(t *testing.T) {
-	hinted := strings.Replace(faultSpecJSON, `"hosts": 4,`, `"hosts": 4, "workers": 3,`, 1)
-	if hinted == faultSpecJSON {
-		t.Fatal("failed to splice the workers hint into the spec")
-	}
-	spec, err := Parse([]byte(hinted))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sc := range spec.Scenarios {
-		if fs := sc.NewFleet(); fs.Workers != 3 {
-			t.Errorf("scenario %s: Workers hint = %d, want 3", sc.Name, fs.Workers)
-		}
-	}
-
-	res, err := Exec(spec, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Parse([]byte(faultSpecJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Exec(base, Options{Workers: 1, FleetWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jHint, jBase bytes.Buffer
-	if err := res.WriteJSON(&jHint); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.WriteJSON(&jBase); err != nil {
-		t.Fatal(err)
-	}
-	if jHint.String() != jBase.String() {
-		t.Error("the workers hint changed the artifacts; it must be execution-only")
-	}
-}
-
-// TestFleetWorkersSpecRejectsNegative: a negative hint fails at parse
-// time, not mid-sweep.
-func TestFleetWorkersSpecRejectsNegative(t *testing.T) {
-	bad := strings.Replace(faultSpecJSON, `"hosts": 4,`, `"hosts": 4, "workers": -2,`, 1)
-	if _, err := Parse([]byte(bad)); err == nil || !strings.Contains(err.Error(), "workers") {
-		t.Errorf("negative fleet workers hint accepted at parse time, err = %v", err)
 	}
 }

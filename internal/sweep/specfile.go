@@ -364,10 +364,11 @@ func (f *File) genAxis(i int, g *GenBlock) (Scenario, error) {
 			if err != nil {
 				return Scenario{}, fmt.Errorf("sweep: generator scenario %d: phase %d: %v", i, j, err)
 			}
-			gs.Phases = append(gs.Phases, workload.AppPhase{
-				Type: t,
-				Dur:  sim.Time(ph.MS) * sim.Millisecond,
-			})
+			dur, err := sim.FromMillis(ph.MS)
+			if err != nil {
+				return Scenario{}, fmt.Errorf("sweep: generator scenario %d: phase %d: %v", i, j, err)
+			}
+			gs.Phases = append(gs.Phases, workload.AppPhase{Type: t, Dur: dur})
 		}
 	}
 	if g.PhaseProb != nil {
@@ -446,13 +447,24 @@ func (f *File) fleetAxis(i int, fb *FleetBlock) ([]Scenario, error) {
 
 // Spec resolves the file's names into a runnable Spec.
 func (f *File) Spec() (*Spec, error) {
+	if f.WarmupMS < 0 || f.MeasureMS < 0 {
+		return nil, fmt.Errorf("sweep: warmup_ms and measure_ms must not be negative (got %d, %d)", f.WarmupMS, f.MeasureMS)
+	}
+	warmup, err := sim.FromMillis(f.WarmupMS)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: warmup_ms: %v", err)
+	}
+	measure, err := sim.FromMillis(f.MeasureMS)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: measure_ms: %v", err)
+	}
 	s := &Spec{
 		Name:     f.Name,
 		Baseline: f.Baseline,
 		Seeds:    f.Seeds,
 		BaseSeed: f.BaseSeed,
-		Warmup:   sim.Time(f.WarmupMS) * sim.Millisecond,
-		Measure:  sim.Time(f.MeasureMS) * sim.Millisecond,
+		Warmup:   warmup,
+		Measure:  measure,
 	}
 	if s.Name == "" {
 		s.Name = "sweep"

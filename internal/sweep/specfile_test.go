@@ -145,6 +145,8 @@ var specFileErrorCases = []specErrorCase{
 	{"typo in scenario ref", `{"scenarios":[{"nam":"S1"}],"policies":["xen"]}`, "nam"},
 	{"bad inline topology", `{"topologies":{"t":{"sockets":0,"cores_per_socket":4}},"scenarios":[{"gen":{"vcpus":8,"mix":{"IOInt":1},"topology":"t"}}],"policies":["xen"]}`, "socket"},
 	{"fixed oversubscribed budget", `{"scenarios":[{"gen":{"vcpus":1,"mix":{"IOInt":1},"apps":["facesim"]}}],"policies":["xen"]}`, "budget"},
+	{"overflowing measure_ms", `{"scenarios":["S1"],"policies":["xen"],"measure_ms":18446744073709552}`, "measure_ms"},
+	{"negative warmup_ms", `{"scenarios":["S1"],"policies":["xen"],"warmup_ms":-5}`, "warmup_ms"},
 }
 
 func TestSpecFileErrorPaths(t *testing.T) {
@@ -285,6 +287,8 @@ var dynErrorCases = []specErrorCase{
 		"churn":{"rate_per_sec":2,"mean_life_ms":500,"horizon_ms":800,"oops":1}}}],"policies":["xen"]}`, ""},
 	{"negative phase ms", `{"name":"x","scenarios":[{"gen":{"vcpus":4,"mix":{"LoLCF":1},
 		"phases":[{"type":"LoLCF","ms":-5},{"type":"LLCO","ms":400}]}}],"policies":["xen"]}`, ""},
+	{"overflowing phase ms", `{"name":"x","scenarios":[{"gen":{"vcpus":4,"mix":{"LoLCF":1},
+		"phases":[{"type":"LoLCF","ms":18446744073709552},{"type":"LLCO","ms":400}]}}],"policies":["xen"]}`, "overflows"},
 }
 
 func TestSpecFileDynamicErrorPaths(t *testing.T) {

@@ -113,13 +113,24 @@ func (s *Spec) SeedFor(k int) uint64 {
 	return sim.NewRNG(base).Fork(uint64(k)).Uint64()
 }
 
-// Validate reports an error for an unrunnable spec.
+// maxRuns caps the expanded run matrix: Runs allocates one Run per
+// cell replication, so a typo'd seed count must fail validation, not
+// exhaust memory (or overflow the allocation size) expanding it.
+const maxRuns = 1 << 20
+
+// Validate reports an error for an unrunnable spec. Callers that
+// override Seeds after parsing must validate again.
 func (s *Spec) Validate() error {
 	if len(s.Scenarios) == 0 {
 		return fmt.Errorf("sweep %q: no scenarios", s.Name)
 	}
 	if len(s.Policies) == 0 {
 		return fmt.Errorf("sweep %q: no policies", s.Name)
+	}
+	// Divide rather than multiply, so no seed count overflows the check.
+	ns, np := len(s.Scenarios), len(s.Policies)
+	if np > maxRuns/ns || s.seeds() > maxRuns/(ns*np) {
+		return fmt.Errorf("sweep %q: %d scenarios x %d policies x %d seeds exceeds the %d-run sanity cap", s.Name, ns, np, s.seeds(), maxRuns)
 	}
 	seen := map[string]bool{}
 	for _, sc := range s.Scenarios {
@@ -228,12 +239,11 @@ type Options struct {
 	// watchdog exists to let a long sweep finish, not to make hangs
 	// cheap.
 	RunTimeout time.Duration
-	// FleetWorkers shards each fleet run's host advances across this
-	// many goroutines (0 = the fleet spec's hint, else GOMAXPROCS;
-	// 1 = serial). Like Workers it never changes results — fleet runs
-	// are byte-identical at any shard count — and it composes with
-	// Workers: a sweep may run cells in parallel while each fleet cell
-	// shards internally.
+	// FleetWorkers bounds the goroutines that advance each fleet run's
+	// hosts at its epoch barriers (0 = GOMAXPROCS). Like Workers it never
+	// changes results — fleet runs are byte-identical at any shard count
+	// — and it composes with Workers: a sweep may run cells in parallel
+	// while each fleet cell shards internally.
 	FleetWorkers int
 	// OnRun, when non-nil, is called once per newly executed run —
 	// successful or failed — right after it completes (journal-restored
