@@ -17,12 +17,9 @@
 package fleet
 
 import (
-	"fmt"
 	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 
+	"aqlsched/internal/par"
 	"aqlsched/internal/sim"
 )
 
@@ -55,49 +52,9 @@ func (f *Fleet) run(workers int) {
 }
 
 // advanceAll is the epoch barrier: it advances every host's private
-// engine to t on workers goroutines, which claim hosts through an
-// atomic cursor so skewed per-host work self-balances instead of
-// serializing behind a static partition. A host panic is captured — the
-// remaining hosts still advance, so the barrier always completes — and
-// re-raised once every worker is done; when several hosts panic, the
-// lowest host wins, so the surfaced failure does not depend on
-// goroutine scheduling.
+// engine to t on up to workers par.Do goroutines. A host panic does not
+// abort the barrier; once every host is done, par.Do re-raises the
+// lowest panicking host's panic (its job index is the host index).
 func (f *Fleet) advanceAll(t sim.Time, workers int) {
-	var (
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		failed = -1 // lowest panicking host, -1 while none has
-		cause  any
-		stack  []byte
-	)
-	advance := func(i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				mu.Lock()
-				if failed < 0 || i < failed {
-					failed, cause, stack = i, r, debug.Stack()
-				}
-				mu.Unlock()
-			}
-		}()
-		f.Hosts[i].advance(t)
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1) - 1)
-				if i >= len(f.Hosts) {
-					return
-				}
-				advance(i)
-			}
-		}()
-	}
-	wg.Wait()
-	if failed >= 0 {
-		panic(fmt.Sprintf("fleet: parallel host advance panicked (host %d): %v\n%s", failed, cause, stack))
-	}
+	par.Do(len(f.Hosts), workers, func(i int) { f.Hosts[i].advance(t) })
 }

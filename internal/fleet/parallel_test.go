@@ -103,8 +103,8 @@ func TestResolveWorkers(t *testing.T) {
 
 // TestBarrierPanicPropagation: a host panicking inside the epoch barrier
 // must not abort it — every other host still reaches the barrier time —
-// and the re-panic must name the lowest panicking host, whichever
-// worker reached it first.
+// and the re-panic must name the lowest panicking host (par's job
+// index), whichever worker reached it first.
 func TestBarrierPanicPropagation(t *testing.T) {
 	f := &Fleet{}
 	for id := 0; id < 5; id++ {
@@ -124,7 +124,7 @@ func TestBarrierPanicPropagation(t *testing.T) {
 	if !ok {
 		t.Fatalf("barrier re-panicked with %T (%v), want the formatted string", got, got)
 	}
-	if !strings.Contains(msg, "(host 1)") || !strings.Contains(msg, "boom-1") {
+	if !strings.Contains(msg, "job 1 panicked") || !strings.Contains(msg, "boom-1") {
 		t.Errorf("re-panic should name host 1, the lowest panicking host, got:\n%s", msg)
 	}
 	for _, id := range []int{0, 2, 4} {

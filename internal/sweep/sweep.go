@@ -26,6 +26,7 @@ import (
 	"aqlsched/internal/core"
 	"aqlsched/internal/fleet"
 	"aqlsched/internal/metrics"
+	"aqlsched/internal/par"
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/sim"
 )
@@ -336,76 +337,53 @@ func Exec(spec *Spec, opts Options) (*Result, error) {
 	runs := spec.Runs()
 	results := make([]RunResult, len(runs))
 
-	workers := opts.EffectiveWorkers()
-	if workers > len(runs) {
-		workers = len(runs)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
 	var mu sync.Mutex // guards progress output and the done counter
 	done := 0
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				status := ""
+	par.Do(len(runs), opts.EffectiveWorkers(), func(idx int) {
+		if opts.Context != nil && opts.Context.Err() != nil {
+			return
+		}
+		status := ""
+		if opts.Journal != nil {
+			if rr, ok := opts.Journal.Restored(idx); ok {
+				results[idx] = rr
+				status = "skipped (journaled)"
+			}
+		}
+		if status == "" {
+			results[idx] = execWatched(spec, runs[idx], opts)
+			rr := &results[idx]
+			if rr.Err != nil {
+				status = "FAILED: " + rr.Err.Error()
+			} else {
+				status = "ok"
 				if opts.Journal != nil {
-					if rr, ok := opts.Journal.Restored(idx); ok {
-						results[idx] = rr
-						status = "skipped (journaled)"
-					}
-				}
-				if status == "" {
-					results[idx] = execWatched(spec, runs[idx], opts)
-					rr := &results[idx]
-					if rr.Err != nil {
-						status = "FAILED: " + rr.Err.Error()
-					} else {
-						status = "ok"
-						if opts.Journal != nil {
-							if err := opts.Journal.Record(rr); err != nil && opts.Progress != nil {
-								mu.Lock()
-								fmt.Fprintf(opts.Progress, "sweep %s: journal write failed: %v\n", spec.Name, err)
-								mu.Unlock()
-							}
-						}
-					}
-					if opts.OnRun != nil {
-						// After the journal write, so a callback observing the
-						// run can already read its checkpoint; serialized under
-						// the same mutex as progress output.
+					if err := opts.Journal.Record(rr); err != nil && opts.Progress != nil {
 						mu.Lock()
-						opts.OnRun(rr)
+						fmt.Fprintf(opts.Progress, "sweep %s: journal write failed: %v\n", spec.Name, err)
 						mu.Unlock()
 					}
 				}
-				if opts.Progress != nil {
-					mu.Lock()
-					done++
-					rr := &results[idx]
-					fmt.Fprintf(opts.Progress, "sweep %s: [%d/%d] %s/%s seed#%d %s (%v)\n",
-						spec.Name, done, len(runs), rr.Scenario, rr.Policy, rr.SeedIdx,
-						status, rr.Elapsed.Round(time.Millisecond))
-					mu.Unlock()
-				}
 			}
-		}()
-	}
-feed:
-	for idx := range runs {
-		if opts.Context != nil {
-			select {
-			case jobs <- idx:
-			case <-opts.Context.Done():
-				break feed
+			if opts.OnRun != nil {
+				// After the journal write, so a callback observing the
+				// run can already read its checkpoint; serialized under
+				// the same mutex as progress output.
+				mu.Lock()
+				opts.OnRun(rr)
+				mu.Unlock()
 			}
-		} else {
-			jobs <- idx
 		}
-	}
-	close(jobs)
-	wg.Wait()
+		if opts.Progress != nil {
+			mu.Lock()
+			done++
+			rr := &results[idx]
+			fmt.Fprintf(opts.Progress, "sweep %s: [%d/%d] %s/%s seed#%d %s (%v)\n",
+				spec.Name, done, len(runs), rr.Scenario, rr.Policy, rr.SeedIdx,
+				status, rr.Elapsed.Round(time.Millisecond))
+			mu.Unlock()
+		}
+	})
 	if opts.Context != nil {
 		if err := opts.Context.Err(); err != nil {
 			return nil, err
