@@ -12,11 +12,13 @@ package calib
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"aqlsched/internal/baselines"
 	"aqlsched/internal/cluster"
 	"aqlsched/internal/hw"
+	"aqlsched/internal/par"
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/sim"
 	"aqlsched/internal/vcputype"
@@ -188,45 +190,67 @@ func Colo(subject workload.AppSpec, k int, o Options) scenario.Spec {
 	}
 }
 
-// measure runs one case at quantum q and ratio k, returning the raw
-// metric of the subject application averaged over o.Repeats seeds.
-func measure(c Case, q sim.Time, k int, o Options) float64 {
-	sum := 0.0
-	for r := 0; r < o.Repeats; r++ {
-		spec := Colo(c.Spec, k, o)
-		spec.Seed = o.Seed + uint64(r)*7919
-		res := scenario.Run(spec, baselines.FixedQuantum{Q: q})
-		// A failed measurement (no jobs at all) contributes 0, exactly
-		// like the pre-registry scalar metric did.
-		v, _ := res.Apps[0].Perf()
-		sum += v
-	}
-	return sum / float64(o.Repeats)
+// measure runs repeat r of one case at quantum q and ratio k and
+// returns the subject application's raw metric.
+func measure(c Case, q sim.Time, k, r int, o Options) float64 {
+	spec := Colo(c.Spec, k, o)
+	spec.Seed = o.Seed + uint64(r)*7919
+	res := scenario.Run(spec, baselines.FixedQuantum{Q: q})
+	// A failed measurement (no jobs at all) contributes 0, exactly
+	// like the pre-registry scalar metric did.
+	v, _ := res.Apps[0].Perf()
+	return v
 }
 
-// Run executes the full calibration sweep.
+// lockQuanta are the lock-duration sweep's quanta (Fig. 2 rightmost).
+var lockQuanta = []sim.Time{20 * sim.Millisecond, 40 * sim.Millisecond, 60 * sim.Millisecond, 80 * sim.Millisecond}
+
+// Run executes the full calibration sweep. Every (case, quantum,
+// ratio, repeat) colocation run and every lock-duration repeat is
+// independent, so together they form one index space on the par pool
+// at GOMAXPROCS. Each run writes its own slot, and the slots fold in
+// the serial order (repeats summed in seed order, then averaged), so
+// the report is bit-identical at any worker count.
 func Run(o Options) *Report {
 	o.fill()
+	cases, quanta := Cases(o.Topo), Quanta()
+	nq, nk, nr := len(quanta), len(o.PerPCPU), o.Repeats
+	// Curve run (case c, quantum qi, ratio ki, repeat r) is index
+	// ((c*nq+qi)*nk+ki)*nr+r; the lock runs (quantum li, repeat r)
+	// follow at curveRuns+li*nr+r.
+	slot := func(c, qi, ki int) int { return ((c*nq+qi)*nk + ki) * nr }
+	curveRuns := len(cases) * nq * nk * nr
+	raw := make([]float64, curveRuns)
+	locks := make([]lockHolds, len(lockQuanta)*nr)
+	par.Do(curveRuns+len(locks), 0, func(i int) {
+		if i >= curveRuns {
+			i -= curveRuns
+			locks[i] = lockRun(lockQuanta[i/nr], i%nr, o)
+			return
+		}
+		r, ki, qi, c := i%nr, i/nr%nk, i/(nr*nk)%nq, i/(nr*nk*nq)
+		raw[i] = measure(cases[c], quanta[qi], o.PerPCPU[ki], r, o)
+	})
+	mean := func(c, qi, ki int) float64 {
+		sum := 0.0
+		for _, v := range raw[slot(c, qi, ki) : slot(c, qi, ki)+nr] {
+			sum += v
+		}
+		return sum / float64(nr)
+	}
+
 	rep := &Report{}
 	bests := map[vcputype.Type]sim.Time{}
 	agnostic := map[vcputype.Type]bool{}
-
-	for _, c := range Cases(o.Topo) {
+	baseQi := slices.Index(quanta, BaselineQuantum)
+	for ci, c := range cases {
 		curve := Curve{Case: c}
-		// Baselines per ratio.
-		base := map[int]float64{}
-		for _, k := range o.PerPCPU {
-			base[k] = measure(c, BaselineQuantum, k, o)
-		}
-		for _, q := range Quanta() {
-			for _, k := range o.PerPCPU {
-				raw := base[k]
-				if q != BaselineQuantum {
-					raw = measure(c, q, k, o)
-				}
+		for qi, q := range quanta {
+			for ki, k := range o.PerPCPU {
+				raw, base := mean(ci, qi, ki), mean(ci, baseQi, ki)
 				norm := 0.0
-				if base[k] > 0 {
-					norm = raw / base[k]
+				if base > 0 {
+					norm = raw / base
 				}
 				curve.Points = append(curve.Points, Point{Quantum: q, PerPCPU: k, Norm: norm, Raw: raw})
 			}
@@ -238,7 +262,7 @@ func Run(o Options) *Report {
 		// Decide best-vs-agnostic at the highest consolidation ratio.
 		k := o.PerPCPU[len(o.PerPCPU)-1]
 		bestQ, bestN, worstN := BaselineQuantum, 1.0, 1.0
-		for _, q := range Quanta() {
+		for _, q := range quanta {
 			p, ok := curve.At(q, k)
 			if !ok {
 				continue
@@ -254,11 +278,9 @@ func Run(o Options) *Report {
 			agnostic[c.Type] = true
 			continue
 		}
-		// Keep the better of an existing calibration (two IOInt cases
-		// never both enter the table, but stay defensive).
-		if prev, ok := bests[c.Type]; !ok || bestQ != prev {
-			bests[c.Type] = bestQ
-		}
+		// At most one case per type has UseForTable, so this never
+		// overwrites another case's result.
+		bests[c.Type] = bestQ
 	}
 
 	rep.Table = cluster.QuantumTable{Best: bests, Default: BaselineQuantum}
@@ -272,47 +294,50 @@ func Run(o Options) *Report {
 	})
 
 	// Lock-duration sweep (Fig. 2 rightmost): kernbench, 4 vCPUs per
-	// pCPU, quanta 20..80 ms.
-	for _, q := range []sim.Time{20 * sim.Millisecond, 40 * sim.Millisecond, 60 * sim.Millisecond, 80 * sim.Millisecond} {
-		mean, max := lockDuration(q, o)
-		rep.LockDurations = append(rep.LockDurations, LockPoint{
-			Quantum:  q,
-			MeanHold: mean,
-			MaxHold:  max,
-		})
+	// pCPU, the mean and worst spin-lock hold aggregated over o.Repeats
+	// seeds.
+	for li, q := range lockQuanta {
+		var all lockHolds
+		for _, h := range locks[li*nr : (li+1)*nr] {
+			all.sum += h.sum
+			all.n += h.n
+			all.max = max(all.max, h.max)
+		}
+		lp := LockPoint{Quantum: q, MaxHold: all.max}
+		if all.n > 0 {
+			lp.MeanHold = all.sum / sim.Time(all.n)
+		}
+		rep.LockDurations = append(rep.LockDurations, lp)
 	}
 	return rep
 }
 
-// lockDuration measures the mean and worst spin-lock hold duration of
-// the ConSpin micro-benchmark consolidated at 4 vCPUs per pCPU,
-// aggregated over o.Repeats seeds.
-func lockDuration(q sim.Time, o Options) (mean, max sim.Time) {
+// lockHolds accumulates per-lock hold statistics: the sum and count of
+// mean holds and the worst hold.
+type lockHolds struct {
+	sum, max sim.Time
+	n        int
+}
+
+// lockRun runs repeat r of the ConSpin micro-benchmark consolidated at
+// 4 vCPUs per pCPU at quantum q and collects its lock hold statistics.
+func lockRun(q sim.Time, r int, o Options) (h lockHolds) {
 	// Longer critical sections than the throughput micro-benchmark so
 	// that slice boundaries land inside holds often enough for the
 	// worst-hold statistic to stabilise within the measurement window.
 	app := workload.MicroKernbench(4)
 	app.Hold = 200 * sim.Microsecond
 	app.Gap = 600 * sim.Microsecond
-	var meanSum sim.Time
-	n := 0
-	for r := 0; r < o.Repeats; r++ {
-		spec := Colo(app, 4, o)
-		spec.Seed = o.Seed + uint64(r)*7919
-		res := scenario.Run(spec, baselines.FixedQuantum{Q: q})
-		for _, d := range res.Deps {
-			if len(d.Locks) > 0 {
-				_, m, mx := d.Locks[0].HoldStats()
-				meanSum += m
-				n++
-				if mx > max {
-					max = mx
-				}
-			}
+	spec := Colo(app, 4, o)
+	spec.Seed = o.Seed + uint64(r)*7919
+	res := scenario.Run(spec, baselines.FixedQuantum{Q: q})
+	for _, d := range res.Deps {
+		if len(d.Locks) > 0 {
+			_, m, mx := d.Locks[0].HoldStats()
+			h.sum += m
+			h.n++
+			h.max = max(h.max, mx)
 		}
 	}
-	if n > 0 {
-		mean = meanSum / sim.Time(n)
-	}
-	return mean, max
+	return h
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"aqlsched/internal/baselines"
 	"aqlsched/internal/core"
+	"aqlsched/internal/par"
 	"aqlsched/internal/report"
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/vcputype"
@@ -22,20 +23,22 @@ type Table3Result struct {
 }
 
 // Table3 runs every reference application in the standard colocation and
-// reports the type vTRS detects — the paper's Table 3.
+// reports the type vTRS detects — the paper's Table 3. The runs are
+// independent, so they share the par pool at GOMAXPROCS, each writing
+// its own entry; the census is identical at any worker count.
 func Table3(cfg Config) *Table3Result {
-	out := &Table3Result{}
-	for _, app := range table3Suite(cfg) {
+	suite := table3Suite(cfg)
+	out := &Table3Result{Entries: make([]Table3Entry, len(suite))}
+	par.Do(len(suite), 0, func(i int) {
+		app := suite[i]
 		var ctl *core.Controller
-		spec := Colo(app, 4, cfg)
-		res := scenario.Run(spec, baselines.AQL{MonitorOnly: true, Out: &ctl})
-		detected := ctl.Monitor.TypeOf(res.Deps[0].Dom.VCPUs[0])
-		out.Entries = append(out.Entries, Table3Entry{
+		res := scenario.Run(Colo(app, 4, cfg), baselines.AQL{MonitorOnly: true, Out: &ctl})
+		out.Entries[i] = Table3Entry{
 			App:      app.Name,
 			Expected: app.Expected,
-			Detected: detected,
-		})
-	}
+			Detected: ctl.Monitor.TypeOf(res.Deps[0].Dom.VCPUs[0]),
+		}
+	})
 	return out
 }
 
