@@ -447,11 +447,12 @@ func flagSet(name string) bool {
 	return set
 }
 
-// resolveSpec prefers an on-disk spec file; otherwise the name must be
-// a built-in sweep. It also returns the sweep's identity for the run
-// journal: the raw file bytes, or the built-in name.
+// resolveSpec prefers an on-disk spec file (a regular file: a
+// directory named like a built-in is not a spec); otherwise the name
+// must be a built-in sweep. It also returns the sweep's identity for
+// the run journal: the raw file bytes, or the built-in name.
 func resolveSpec(arg string) (*sweep.Spec, []byte, string, error) {
-	if _, err := os.Stat(arg); err == nil {
+	if fi, err := os.Stat(arg); err == nil && fi.Mode().IsRegular() {
 		data, err := os.ReadFile(arg)
 		if err != nil {
 			return nil, nil, "", err

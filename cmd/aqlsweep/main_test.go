@@ -106,3 +106,25 @@ func TestRunMatrixCap(t *testing.T) {
 		t.Fatalf("aqlsweep -seeds 1099511627776 exited %d, want 2 with the cap message and no panic\n%s", code, out)
 	}
 }
+
+// TestBuiltinNameBesideDirectory: a directory that shares a built-in's
+// name is not a spec file, so -spec <name> still runs the built-in
+// instead of failing to read the directory.
+func TestBuiltinNameBesideDirectory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	bin := buildBinary(t)
+	wd, out := t.TempDir(), t.TempDir()
+	if err := os.Mkdir(filepath.Join(wd, "genmix"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(bin, "-spec", "genmix", "-seeds", "1", "-q", "-out", out)
+	cmd.Dir = wd
+	if msg, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("aqlsweep -spec genmix beside a genmix directory: %v\n%s", err, msg)
+	}
+	if _, err := os.Stat(filepath.Join(out, "genmix.json")); err != nil {
+		t.Errorf("built-in genmix artifact missing: %v", err)
+	}
+}
