@@ -218,9 +218,8 @@ func Run(o Options) *Report {
 	// Curve run (case c, quantum qi, ratio ki, repeat r) is index
 	// ((c*nq+qi)*nk+ki)*nr+r; the lock runs (quantum li, repeat r)
 	// follow at curveRuns+li*nr+r.
-	slot := func(c, qi, ki int) int { return ((c*nq+qi)*nk + ki) * nr }
 	curveRuns := len(cases) * nq * nk * nr
-	raw := make([]float64, curveRuns)
+	perf := make([]float64, curveRuns)
 	locks := make([]lockHolds, len(lockQuanta)*nr)
 	par.Do(curveRuns+len(locks), 0, func(i int) {
 		if i >= curveRuns {
@@ -229,11 +228,12 @@ func Run(o Options) *Report {
 			return
 		}
 		r, ki, qi, c := i%nr, i/nr%nk, i/(nr*nk)%nq, i/(nr*nk*nq)
-		raw[i] = measure(cases[c], quanta[qi], o.PerPCPU[ki], r, o)
+		perf[i] = measure(cases[c], quanta[qi], o.PerPCPU[ki], r, o)
 	})
 	mean := func(c, qi, ki int) float64 {
+		first := ((c*nq+qi)*nk + ki) * nr
 		sum := 0.0
-		for _, v := range raw[slot(c, qi, ki) : slot(c, qi, ki)+nr] {
+		for _, v := range perf[first : first+nr] {
 			sum += v
 		}
 		return sum / float64(nr)
