@@ -32,11 +32,13 @@ func Table3(cfg Config) *Table3Result {
 	par.Do(len(suite), 0, func(i int) {
 		app := suite[i]
 		var ctl *core.Controller
-		res := scenario.Run(Colo(app, 4, cfg), baselines.AQL{MonitorOnly: true, Out: &ctl})
+		spec := Colo(app, 4, cfg)
+		res := scenario.Run(spec, baselines.AQL{MonitorOnly: true, Out: &ctl})
+		detected := ctl.Monitor.TypeOf(res.Deps[0].Dom.VCPUs[0])
 		out.Entries[i] = Table3Entry{
 			App:      app.Name,
 			Expected: app.Expected,
-			Detected: ctl.Monitor.TypeOf(res.Deps[0].Dom.VCPUs[0]),
+			Detected: detected,
 		}
 	})
 	return out
