@@ -14,10 +14,11 @@ func BenchmarkCacheRunWholeBurst(b *testing.B) {
 	m := NewModel(hw.I73770())
 	prof := Profile{WSS: 4 * hw.MB, RefRate: 10, MissFloor: 0.01}
 	var fp Footprint
+	var res BurstResult
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Run(&fp, 0, prof, 5*sim.Millisecond, 30*sim.Millisecond)
+		m.Run(&fp, 0, &prof, 5*sim.Millisecond, 30*sim.Millisecond, &res)
 	}
 }
 
@@ -29,11 +30,12 @@ func BenchmarkCacheRunBudgetLimited(b *testing.B) {
 	m := NewModel(hw.I73770())
 	prof := Profile{WSS: 6 * hw.MB, RefRate: 40, MissFloor: 0.01}
 	var fp Footprint
+	var res BurstResult
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fp.Invalidate() // cold every time: maximal transient, worst case
-		m.Run(&fp, 0, prof, 100*sim.Millisecond, 1*sim.Millisecond)
+		m.Run(&fp, 0, &prof, 100*sim.Millisecond, 1*sim.Millisecond, &res)
 	}
 }
 
@@ -44,6 +46,7 @@ func BenchmarkCacheRunAlternating(b *testing.B) {
 	m := NewModel(hw.I73770())
 	prof := Profile{WSS: 4 * hw.MB, RefRate: 10, MissFloor: 0.01}
 	var fpA, fpB Footprint
+	var res BurstResult
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -51,6 +54,6 @@ func BenchmarkCacheRunAlternating(b *testing.B) {
 		if i&1 == 1 {
 			fp = &fpB
 		}
-		m.Run(fp, 0, prof, 5*sim.Millisecond, 30*sim.Millisecond)
+		m.Run(fp, 0, &prof, 5*sim.Millisecond, 30*sim.Millisecond, &res)
 	}
 }

@@ -77,7 +77,7 @@ type Profile struct {
 const DefaultInstrPerUs = 1000.0
 
 // instrRate returns the profile's instruction rate.
-func (p Profile) instrRate() float64 {
+func (p *Profile) instrRate() float64 {
 	if p.InstrPerUs > 0 {
 		return p.InstrPerUs
 	}
@@ -85,7 +85,7 @@ func (p Profile) instrRate() float64 {
 }
 
 // reuse returns the profile's reference reuse factor.
-func (p Profile) reuse() float64 {
+func (p *Profile) reuse() float64 {
 	if p.ReuseFactor > 1 {
 		return p.ReuseFactor
 	}
@@ -221,17 +221,18 @@ func (m *Model) insert(s hw.SocketID, bytes float64) {
 
 // Run executes up to `work` ideal microseconds of the profile on the
 // given core within `budget` wall microseconds, updating the footprint
-// and the socket insertion clock, and returns what happened.
+// and the socket insertion clock, and writes what happened to res
+// (overwriting all of it).
 //
 // Run must be called with work > 0 and budget > 0.
-func (m *Model) Run(fp *Footprint, core hw.PCPUID, prof Profile, work, budget sim.Time) BurstResult {
+func (m *Model) Run(fp *Footprint, core hw.PCPUID, prof *Profile, work, budget sim.Time, res *BurstResult) {
 	if work <= 0 || budget <= 0 {
 		panic(fmt.Sprintf("cache: Run(work=%v, budget=%v)", work, budget))
 	}
 	s := m.topo.SocketOf(core)
 	m.decay(fp, s)
 
-	res := BurstResult{}
+	*res = BurstResult{}
 	wallLeft := float64(budget)
 
 	// Private L1/L2 refill: charged when another footprint used this
@@ -242,8 +243,7 @@ func (m *Model) Run(fp *Footprint, core hw.PCPUID, prof Profile, work, budget si
 		if fill >= wallLeft {
 			// The whole budget went to private refill; almost no work.
 			res.Wall = budget
-			res.Ideal = 0
-			return res
+			return
 		}
 		wallLeft -= fill
 	}
@@ -293,7 +293,6 @@ func (m *Model) Run(fp *Footprint, core hw.PCPUID, prof Profile, work, budget si
 		LLCMisses:     uint64(misses),
 	}
 	fp.mark = m.sockets[s].inserted
-	return res
 }
 
 // runCached integrates the occupancy ODE for a cache-friendly random
@@ -316,7 +315,7 @@ func (m *Model) Run(fp *Footprint, core hw.PCPUID, prof Profile, work, budget si
 // bisection, the converged root then replays the bisection's midpoint
 // lattice — pure arithmetic, no exp — reproducing its exact return
 // value; see solveBudget.
-func (m *Model) runCached(fp *Footprint, prof Profile, work, wallBudget float64) (idealDone, misses, refs float64) {
+func (m *Model) runCached(fp *Footprint, prof *Profile, work, wallBudget float64) (idealDone, misses, refs float64) {
 	eff := math.Min(float64(prof.WSS), m.capBytes)
 	line := float64(m.topo.LLC.LineSize)
 	floor := prof.MissFloor

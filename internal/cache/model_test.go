@@ -11,6 +11,13 @@ import (
 
 func testModel() *Model { return NewModel(hw.I73770()) }
 
+// run calls m.Run and returns its result.
+func run(m *Model, fp *Footprint, core hw.PCPUID, prof Profile, work, budget sim.Time) BurstResult {
+	var res BurstResult
+	m.Run(fp, core, &prof, work, budget, &res)
+	return res
+}
+
 // Profiles mirroring the calibration micro-benchmarks.
 func llcfProfile() Profile {
 	return Profile{WSS: 4 * hw.MB, RefRate: 10, MissFloor: 0.01}
@@ -28,11 +35,11 @@ func TestColdRunIsSlowerThanWarmRun(t *testing.T) {
 	prof := llcfProfile()
 	const work = 5000 * sim.Millisecond // more than enough budget
 
-	cold := m.Run(&fp, 0, prof, 10*sim.Millisecond, work)
+	cold := run(m, &fp, 0, prof, 10*sim.Millisecond, work)
 	if !cold.Finished {
 		t.Fatal("cold burst did not finish within huge budget")
 	}
-	warm := m.Run(&fp, 0, prof, 10*sim.Millisecond, work)
+	warm := run(m, &fp, 0, prof, 10*sim.Millisecond, work)
 	if !warm.Finished {
 		t.Fatal("warm burst did not finish")
 	}
@@ -51,7 +58,7 @@ func TestFootprintWarmsTowardWSS(t *testing.T) {
 	var fp Footprint
 	prof := llcfProfile()
 	for i := 0; i < 20; i++ {
-		m.Run(&fp, 0, prof, 20*sim.Millisecond, sim.Second)
+		run(m, &fp, 0, prof, 20*sim.Millisecond, sim.Second)
 	}
 	if fp.Resident() < 0.95*float64(prof.WSS) {
 		t.Errorf("after long run resident = %.0f, want >= 95%% of WSS %d", fp.Resident(), prof.WSS)
@@ -67,13 +74,13 @@ func TestCoRunnerInsertionsEvictFootprint(t *testing.T) {
 	prof := llcfProfile()
 	// Warm the victim.
 	for i := 0; i < 10; i++ {
-		m.Run(&victim, 0, prof, 20*sim.Millisecond, sim.Second)
+		run(m, &victim, 0, prof, 20*sim.Millisecond, sim.Second)
 	}
 	warm := victim.Resident()
 	// Disturber streams on another core of the same socket.
-	m.Run(&disturber, 1, llcoProfile(), 30*sim.Millisecond, sim.Second)
+	run(m, &disturber, 1, llcoProfile(), 30*sim.Millisecond, sim.Second)
 	// Victim's next dispatch sees the decayed footprint.
-	m.Run(&victim, 0, prof, 1*sim.Microsecond, 10*sim.Microsecond)
+	run(m, &victim, 0, prof, 1*sim.Microsecond, 10*sim.Microsecond)
 	if victim.Resident() >= warm {
 		t.Errorf("victim resident %.0f did not decay from %.0f after disturber streamed", victim.Resident(), warm)
 	}
@@ -84,13 +91,13 @@ func TestCrossSocketMigrationGoesCold(t *testing.T) {
 	var fp Footprint
 	prof := llcfProfile()
 	for i := 0; i < 10; i++ {
-		m.Run(&fp, 0, prof, 20*sim.Millisecond, sim.Second)
+		run(m, &fp, 0, prof, 20*sim.Millisecond, sim.Second)
 	}
 	if fp.Resident() == 0 {
 		t.Fatal("footprint never warmed")
 	}
 	// Core 4 is on socket 1.
-	m.Run(&fp, 4, prof, 1*sim.Microsecond, 100*sim.Microsecond)
+	run(m, &fp, 4, prof, 1*sim.Microsecond, 100*sim.Microsecond)
 	if fp.Resident() > 0.05*float64(prof.WSS) {
 		t.Errorf("after cross-socket move, resident = %.0f, want near cold", fp.Resident())
 	}
@@ -100,8 +107,8 @@ func TestStreamingSlowdownIsConstant(t *testing.T) {
 	m := testModel()
 	var fp Footprint
 	prof := llcoProfile()
-	r1 := m.Run(&fp, 0, prof, 10*sim.Millisecond, sim.Second)
-	r2 := m.Run(&fp, 0, prof, 10*sim.Millisecond, sim.Second)
+	r1 := run(m, &fp, 0, prof, 10*sim.Millisecond, sim.Second)
+	r2 := run(m, &fp, 0, prof, 10*sim.Millisecond, sim.Second)
 	if !r1.Finished || !r2.Finished {
 		t.Fatal("streaming bursts did not finish")
 	}
@@ -119,7 +126,7 @@ func TestStreamingSlowdownIsConstant(t *testing.T) {
 func TestLoLCFRunsAtIdealSpeed(t *testing.T) {
 	m := testModel()
 	var fp Footprint
-	r := m.Run(&fp, 0, lolcfProfile(), 10*sim.Millisecond, sim.Second)
+	r := run(m, &fp, 0, lolcfProfile(), 10*sim.Millisecond, sim.Second)
 	if !r.Finished {
 		t.Fatal("LoLCF burst did not finish")
 	}
@@ -133,7 +140,7 @@ func TestBudgetIsRespected(t *testing.T) {
 	m := testModel()
 	var fp Footprint
 	prof := llcfProfile()
-	r := m.Run(&fp, 0, prof, 100*sim.Millisecond, 1*sim.Millisecond)
+	r := run(m, &fp, 0, prof, 100*sim.Millisecond, 1*sim.Millisecond)
 	if r.Finished {
 		t.Error("burst claims finished despite small budget")
 	}
@@ -152,7 +159,7 @@ func TestCountersEmitted(t *testing.T) {
 	m := testModel()
 	var fp Footprint
 	prof := llcfProfile()
-	r := m.Run(&fp, 0, prof, 10*sim.Millisecond, sim.Second)
+	r := run(m, &fp, 0, prof, 10*sim.Millisecond, sim.Second)
 	if r.Counters.Instructions == 0 {
 		t.Error("no instructions counted")
 	}
@@ -178,10 +185,10 @@ func TestMissRatioDistinguishesTypes(t *testing.T) {
 	var fpF, fpO Footprint
 	// Warm LLCF, then measure a steady window.
 	for i := 0; i < 10; i++ {
-		m.Run(&fpF, 0, llcfProfile(), 20*sim.Millisecond, sim.Second)
+		run(m, &fpF, 0, llcfProfile(), 20*sim.Millisecond, sim.Second)
 	}
-	rF := m.Run(&fpF, 0, llcfProfile(), 30*sim.Millisecond, sim.Second)
-	rO := m.Run(&fpO, 1, llcoProfile(), 30*sim.Millisecond, sim.Second)
+	rF := run(m, &fpF, 0, llcfProfile(), 30*sim.Millisecond, sim.Second)
+	rO := run(m, &fpO, 1, llcoProfile(), 30*sim.Millisecond, sim.Second)
 	if mr := rF.Counters.LLCMissRatio(); mr > 0.1 {
 		t.Errorf("warm LLCF miss ratio %.3f, want < 0.1", mr)
 	}
@@ -201,10 +208,10 @@ func TestQuantumEffectOnLLCF(t *testing.T) {
 		var wall, ideal float64
 		// Alternate slices on core 0, like two vCPUs sharing a pCPU.
 		for ideal < float64(500*sim.Millisecond) {
-			rF := m.Run(&llcf, 0, profF, sim.MaxTime/4, q)
+			rF := run(m, &llcf, 0, profF, sim.MaxTime/4, q)
 			wall += float64(rF.Wall)
 			ideal += float64(rF.Ideal)
-			m.Run(&llco, 0, profO, sim.MaxTime/4, q)
+			run(m, &llco, 0, profO, sim.MaxTime/4, q)
 		}
 		return wall / ideal
 	}
@@ -236,10 +243,10 @@ func TestQuantumAgnosticTypes(t *testing.T) {
 			profD := llcoProfile()
 			var wall, ideal float64
 			for ideal < float64(200*sim.Millisecond) {
-				r := m.Run(&fp, 0, tc.prof, sim.MaxTime/4, q)
+				r := run(m, &fp, 0, tc.prof, sim.MaxTime/4, q)
 				wall += float64(r.Wall)
 				ideal += float64(r.Ideal)
-				m.Run(&dist, 0, profD, sim.MaxTime/4, q)
+				run(m, &dist, 0, profD, sim.MaxTime/4, q)
 			}
 			return wall / ideal
 		}
@@ -260,8 +267,26 @@ func TestRunPanicsOnNonPositiveArgs(t *testing.T) {
 					t.Errorf("Run(work=%v,budget=%v) did not panic", args[0], args[1])
 				}
 			}()
-			m.Run(&fp, 0, llcfProfile(), args[0], args[1])
+			run(m, &fp, 0, llcfProfile(), args[0], args[1])
 		}()
+	}
+}
+
+// TestRunOverwritesResult: Run writes every field of its result, so a
+// caller may pass a result that still holds an earlier burst (the
+// hypervisor replays a preempted burst into its plan).
+func TestRunOverwritesResult(t *testing.T) {
+	for _, prof := range []Profile{llcfProfile(), llcoProfile(), lolcfProfile()} {
+		for _, budget := range []sim.Time{1, sim.Millisecond, sim.Second} {
+			var fpA, fpB Footprint
+			want := run(testModel(), &fpA, 0, prof, 10*sim.Millisecond, budget)
+			got := BurstResult{Wall: 7, Ideal: 7, Finished: true, InsertedBytes: 7,
+				Counters: hw.Counters{Instructions: 7, LLCReferences: 7, LLCMisses: 7, IOEvents: 7, PauseLoops: 7, LockOps: 7}}
+			testModel().Run(&fpB, 0, &prof, 10*sim.Millisecond, budget, &got)
+			if got != want {
+				t.Errorf("WSS %d, budget %v: dirty result became %+v, want %+v", prof.WSS, budget, got, want)
+			}
+		}
 	}
 }
 
@@ -290,7 +315,7 @@ func TestBurstBoundsProperty(t *testing.T) {
 		var fp Footprint
 		work := sim.Time(workMs%50+1) * sim.Millisecond
 		budget := sim.Time(budgetMs%50+1) * sim.Millisecond
-		r := m.Run(&fp, 0, prof, work, budget)
+		r := run(m, &fp, 0, prof, work, budget)
 		if r.Wall < 1 || r.Wall > budget {
 			return false
 		}
@@ -320,7 +345,7 @@ func TestInsertionClockMonotoneProperty(t *testing.T) {
 		if streaming {
 			prof = llcoProfile()
 		}
-		m.Run(&fp, 0, prof, sim.Time(workMs%20+1)*sim.Millisecond, sim.Second)
+		run(m, &fp, 0, prof, sim.Time(workMs%20+1)*sim.Millisecond, sim.Second)
 		now := m.Inserted(0)
 		ok := now >= last
 		last = now

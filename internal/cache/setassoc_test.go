@@ -114,9 +114,9 @@ func TestAnalyticModelAgreesWithSetAssoc(t *testing.T) {
 	var fp Footprint
 	prof := Profile{WSS: wss, RefRate: 10, MissFloor: 0.01}
 	for i := 0; i < 20; i++ {
-		m.Run(&fp, 0, prof, 50*sim.Millisecond, sim.Second)
+		run(m, &fp, 0, prof, 50*sim.Millisecond, sim.Second)
 	}
-	r := m.Run(&fp, 0, prof, 50*sim.Millisecond, sim.Second)
+	r := run(m, &fp, 0, prof, 50*sim.Millisecond, sim.Second)
 	analytic := r.Counters.LLCMissRatio()
 
 	if diff := analytic - direct; diff > 0.05 || diff < -0.05 {

@@ -103,7 +103,7 @@ func TestRunBudgetLimitedMatchesLegacyEndToEnd(t *testing.T) {
 		fpR.resident = fpN.resident
 		fpR.socket, fpR.valid, fpR.mark = 0, true, mRef.sockets[0].inserted
 
-		got := mNew.Run(&fpN, 0, prof, work, budget)
+		got := run(mNew, &fpN, 0, prof, work, budget)
 		want := runWithLegacySolver(mRef, &fpR, 0, prof, work, budget)
 		if got != want {
 			t.Fatalf("case %d (prof=%+v work=%v budget=%v):\n got %+v\nwant %+v", i, prof, work, budget, got, want)

@@ -94,7 +94,11 @@ const (
 type Action struct {
 	Kind ActionKind
 	Work sim.Time
-	Prof cache.Profile
+	// Prof is the memory profile of an ActCompute action. The program
+	// owns it and must not change it while the program runs: the cache
+	// model reads it at every burst of the action, and again when a
+	// preempted burst is replayed.
+	Prof *cache.Profile
 	Lock *SpinLock
 	Sem  *Semaphore
 	Port int
@@ -122,8 +126,9 @@ type Thread struct {
 
 	prog      Program
 	state     ThreadState
-	action    Action
-	remaining sim.Time // work left in the current compute action
+	prof      *cache.Profile // profile of the current compute action
+	spinLock  *SpinLock      // lock the thread spins on while Spinning
+	remaining sim.Time       // work left in the current compute action
 
 	// sliceUsed accumulates ideal work since the thread last took the
 	// CPU; the guest rotates it out only when a full GuestSlice is

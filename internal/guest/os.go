@@ -40,7 +40,7 @@ const (
 type Step struct {
 	Kind   StepKind
 	Work   sim.Time
-	Prof   cache.Profile
+	Prof   *cache.Profile
 	Thread *Thread
 }
 
@@ -188,12 +188,15 @@ func (os *OS) advance(t *Thread, now sim.Time) {
 			panic(fmt.Sprintf("guest: thread %s interprets forever (program bug)", t.Name))
 		}
 		a := t.prog.Next(t, now)
-		t.action = a
 		switch a.Kind {
 		case ActCompute:
 			if a.Work <= 0 {
 				continue // zero work: fetch next action
 			}
+			if a.Prof == nil {
+				panic("guest: ActCompute without profile")
+			}
+			t.prof = a.Prof
 			t.remaining = a.Work
 			t.state = Ready
 			os.enqueue(t, now)
@@ -206,6 +209,7 @@ func (os *OS) advance(t *Thread, now sim.Time) {
 				continue // got it immediately
 			}
 			// Contended: spin. The thread stays runnable and burns CPU.
+			t.spinLock = a.Lock
 			t.state = Spinning
 			os.enqueue2Spin(t, now)
 			return
@@ -306,14 +310,14 @@ func (os *OS) NextStep(cpu int, now sim.Time) Step {
 	c := &os.cpus[cpu]
 	if len(c.irqReady) > 0 {
 		t := c.irqReady[0]
-		return Step{Kind: StepRun, Work: t.remaining, Prof: t.action.Prof, Thread: t}
+		return Step{Kind: StepRun, Work: t.remaining, Prof: t.prof, Thread: t}
 	}
 	if len(c.ready) > 0 {
 		t := c.ready[0]
 		if t.state == Spinning {
 			// Dispatch-time re-poll: the lock may have been freed while
 			// this vCPU was descheduled.
-			if t.action.Lock != nil && t.action.Lock.pollAcquire(t, now) {
+			if t.spinLock.pollAcquire(t, now) {
 				os.dequeue(t)
 				t.state = Ready
 				t.preferHead = true // it holds the lock: keep the CPU
@@ -336,7 +340,7 @@ func (os *OS) NextStep(cpu int, now sim.Time) Step {
 				}
 			}
 		}
-		return Step{Kind: StepRun, Work: work, Prof: t.action.Prof, Thread: t}
+		return Step{Kind: StepRun, Work: work, Prof: t.prof, Thread: t}
 	}
 	return Step{Kind: StepIdle}
 }

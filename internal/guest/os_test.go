@@ -33,8 +33,11 @@ func (p *seqProgram) Next(t *Thread, now sim.Time) Action {
 	return a
 }
 
+// testProf is the profile of every compute action in these tests.
+var testProf = cache.Profile{WSS: 16 * 1024}
+
 func computeAction(d sim.Time) Action {
-	return Action{Kind: ActCompute, Work: d, Prof: cache.Profile{WSS: 16 * 1024}}
+	return Action{Kind: ActCompute, Work: d, Prof: &testProf}
 }
 
 func TestSpawnComputeThreadBecomesReady(t *testing.T) {
@@ -364,7 +367,7 @@ func TestJobsCounter(t *testing.T) {
 	os := NewOS("vm", 1, e, &mockWaker{})
 	prog := ProgramFunc(func(t *Thread, now sim.Time) Action {
 		t.Jobs++
-		return Action{Kind: ActCompute, Work: 10}
+		return Action{Kind: ActCompute, Work: 10, Prof: &testProf}
 	})
 	th := os.Spawn("loop", 0, false, prog, 0)
 	for i := 0; i < 5; i++ {
@@ -386,6 +389,17 @@ func TestInfiniteInterpretPanics(t *testing.T) {
 	os.Spawn("bad", 0, false, ProgramFunc(func(*Thread, sim.Time) Action {
 		return Action{Kind: ActCompute, Work: 0}
 	}), 0)
+}
+
+func TestComputeWithoutProfilePanics(t *testing.T) {
+	e := sim.NewEngine()
+	os := NewOS("vm", 1, e, &mockWaker{})
+	defer func() {
+		if r := recover(); r != "guest: ActCompute without profile" {
+			t.Errorf("recover() = %v, want the missing-profile panic", r)
+		}
+	}()
+	os.Spawn("bad", 0, false, &seqProgram{actions: []Action{{Kind: ActCompute, Work: 10}}}, 0)
 }
 
 func TestNextStepIdle(t *testing.T) {

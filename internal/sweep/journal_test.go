@@ -81,6 +81,35 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestJournalWriteFailureFailsRun: a run whose checkpoint could not be
+// written fails with an error naming the journal checkpoint, so neither
+// the progress output nor the daemon counts it as journaled.
+func TestJournalWriteFailureFailsRun(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "j")
+	spec := journalSpec(t)
+	jl, err := CreateJournal(dir, Manifest{Name: spec.Name, Fingerprint: FingerprintSpec([]byte(fleetSpecJSON)), Runs: len(spec.Runs())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Replace the journal directory with a regular file: every
+	// checkpoint write now fails.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Exec(spec, Options{Workers: 2, Journal: jl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rr := range res.Runs {
+		if rr.Err == nil || !strings.Contains(rr.Err.Error(), "journal") {
+			t.Errorf("run %d: Err = %v, want a journal checkpoint error", rr.Index, rr.Err)
+		}
+	}
+}
+
 // TestManifestSpecBytesRoundTrip: the fingerprint covers the exact
 // spec-file bytes, so the manifest's own write/read cycle must hand
 // them back unchanged — indentation, trailing newline and all.

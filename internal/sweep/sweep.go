@@ -353,17 +353,16 @@ func Exec(spec *Spec, opts Options) (*Result, error) {
 		if status == "" {
 			results[idx] = execWatched(spec, runs[idx], opts)
 			rr := &results[idx]
+			if rr.Err == nil && opts.Journal != nil {
+				// A run whose checkpoint is missing must not count as
+				// journaled: fail it, so a resume retries it.
+				if err := opts.Journal.Record(rr); err != nil {
+					rr.Err = fmt.Errorf("journal checkpoint %s: %v", checkpointName(rr.Index), err)
+				}
+			}
+			status = "ok"
 			if rr.Err != nil {
 				status = "FAILED: " + rr.Err.Error()
-			} else {
-				status = "ok"
-				if opts.Journal != nil {
-					if err := opts.Journal.Record(rr); err != nil && opts.Progress != nil {
-						mu.Lock()
-						fmt.Fprintf(opts.Progress, "sweep %s: journal write failed: %v\n", spec.Name, err)
-						mu.Unlock()
-					}
-				}
 			}
 			if opts.OnRun != nil {
 				// After the journal write, so a callback observing the

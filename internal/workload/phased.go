@@ -165,7 +165,7 @@ func (p *PhasedProgram) Next(t *guest.Thread, now sim.Time) guest.Action {
 		p.Srv.Complete(p.arrived, now)
 		t.Jobs++
 	}
-	ph := p.Phases[PhaseAt(p.Phases, p.Offset, now-p.Base)]
+	ph := &p.Phases[PhaseAt(p.Phases, p.Offset, now-p.Base)]
 	if ph.Type == vcputype.IOInt {
 		// Serve whatever is queued; otherwise wait for the next event.
 		// Wake-ups can be spurious (phase-boundary nudges, stale events
@@ -173,7 +173,7 @@ func (p *PhasedProgram) Next(t *guest.Thread, now sim.Time) guest.Action {
 		if p.Srv.Pending() > 0 {
 			p.arrived = p.Srv.Take()
 			p.serving = true
-			return guest.Action{Kind: guest.ActCompute, Work: ph.Service, Prof: ph.Prof}
+			return guest.Action{Kind: guest.ActCompute, Work: ph.Service, Prof: &ph.Prof}
 		}
 		return guest.Action{Kind: guest.ActWaitIO, Port: p.Srv.Port}
 	}
@@ -182,7 +182,7 @@ func (p *PhasedProgram) Next(t *guest.Thread, now sim.Time) guest.Action {
 	// compute phase can never pin the thread past a flip for long).
 	if p.sleeping {
 		p.sleeping = false
-		return guest.Action{Kind: guest.ActCompute, Work: ph.JobWork, Prof: ph.Prof}
+		return guest.Action{Kind: guest.ActCompute, Work: ph.JobWork, Prof: &ph.Prof}
 	}
 	t.Jobs++
 	p.count++
@@ -190,7 +190,7 @@ func (p *PhasedProgram) Next(t *guest.Thread, now sim.Time) guest.Action {
 		p.sleeping = true
 		return guest.Action{Kind: guest.ActSleep, Dur: p.JobSleep}
 	}
-	return guest.Action{Kind: guest.ActCompute, Work: ph.JobWork, Prof: ph.Prof}
+	return guest.Action{Kind: guest.ActCompute, Work: ph.JobWork, Prof: &ph.Prof}
 }
 
 // SynthesizePhases draws one behaviour leg per phase definition from

@@ -68,7 +68,7 @@ func NewCPUBound(prof cache.Profile, jobWork sim.Time) *CPUBound {
 func (c *CPUBound) Next(t *guest.Thread, now sim.Time) guest.Action {
 	if c.sleeping {
 		c.sleeping = false
-		return guest.Action{Kind: guest.ActCompute, Work: c.JobWork, Prof: c.Prof}
+		return guest.Action{Kind: guest.ActCompute, Work: c.JobWork, Prof: &c.Prof}
 	}
 	if c.started {
 		t.Jobs++
@@ -79,7 +79,7 @@ func (c *CPUBound) Next(t *guest.Thread, now sim.Time) guest.Action {
 		}
 	}
 	c.started = true
-	return guest.Action{Kind: guest.ActCompute, Work: c.JobWork, Prof: c.Prof}
+	return guest.Action{Kind: guest.ActCompute, Work: c.JobWork, Prof: &c.Prof}
 }
 
 // LockWorker is one thread of a concurrent application synchronizing
@@ -133,6 +133,10 @@ func (w *LockWorker) jitteredGap() sim.Time {
 	return sim.Time(float64(w.Gap) * (0.5 + frac))
 }
 
+// criticalProfile is every critical section's profile: a small shared
+// structure.
+var criticalProfile = cache.Profile{WSS: 32 * 1024}
+
 // lockWorker states.
 const (
 	lwGap = iota
@@ -149,14 +153,13 @@ func (w *LockWorker) Next(t *guest.Thread, now sim.Time) guest.Action {
 	switch w.state {
 	case lwGap:
 		w.state = lwAcquire
-		return guest.Action{Kind: guest.ActCompute, Work: w.jitteredGap(), Prof: w.Prof}
+		return guest.Action{Kind: guest.ActCompute, Work: w.jitteredGap(), Prof: &w.Prof}
 	case lwAcquire:
 		w.state = lwCritical
 		return guest.Action{Kind: guest.ActAcquire, Lock: w.Lock}
 	case lwCritical:
 		w.state = lwRelease
-		// Critical sections touch a small shared structure.
-		return guest.Action{Kind: guest.ActCompute, Work: w.Hold, Prof: cache.Profile{WSS: 32 * 1024}}
+		return guest.Action{Kind: guest.ActCompute, Work: w.Hold, Prof: &criticalProfile}
 	case lwRelease:
 		w.cycles++
 		t.Jobs++
@@ -201,7 +204,7 @@ func (h *Handler) Next(t *guest.Thread, now sim.Time) guest.Action {
 	case 1:
 		h.arrived = h.Srv.Take()
 		h.state = 2
-		return guest.Action{Kind: guest.ActCompute, Work: h.Service, Prof: h.Prof}
+		return guest.Action{Kind: guest.ActCompute, Work: h.Service, Prof: &h.Prof}
 	default:
 		h.Srv.Complete(h.arrived, now)
 		t.Jobs++
@@ -223,7 +226,7 @@ type Sleeper struct {
 func (s *Sleeper) Next(t *guest.Thread, now sim.Time) guest.Action {
 	if s.state == 0 {
 		s.state = 1
-		return guest.Action{Kind: guest.ActCompute, Work: s.Work, Prof: s.Prof}
+		return guest.Action{Kind: guest.ActCompute, Work: s.Work, Prof: &s.Prof}
 	}
 	s.state = 0
 	t.Jobs++

@@ -27,7 +27,7 @@ const (
 type burst struct {
 	kind     burstKind
 	thread   *guest.Thread
-	prof     cache.Profile
+	prof     *cache.Profile
 	work     sim.Time
 	start    sim.Time // dispatch time of this burst
 	overhead sim.Time // context-switch cost charged before execution
@@ -426,13 +426,13 @@ func (h *Hypervisor) runBurstWithOverhead(v *VCPU, now sim.Time, overhead sim.Ti
 			// time (the budget shrinks by the speed factor), and the
 			// planned wall stretches back for the timer, so slow cores
 			// accrue proportionally less work per wall second.
-			b.planned = h.Cache.Run(&step.Thread.FP, v.pcpu, step.Prof, step.Work, refTime(budget, s))
+			h.Cache.Run(&step.Thread.FP, v.pcpu, step.Prof, step.Work, refTime(budget, s), &b.planned)
 			wall = sim.Time(math.Ceil(float64(b.planned.Wall) / s))
 			if wall > budget {
 				wall = budget
 			}
 		} else {
-			b.planned = h.Cache.Run(&step.Thread.FP, v.pcpu, step.Prof, step.Work, budget)
+			h.Cache.Run(&step.Thread.FP, v.pcpu, step.Prof, step.Work, budget, &b.planned)
 			wall = b.planned.Wall
 		}
 		v.burst = b
@@ -498,10 +498,11 @@ func (h *Hypervisor) settleBurst(v *VCPU, b *burst, now sim.Time) {
 		return // preempted during the context-switch window: no progress
 	}
 	// ...and replay exactly the elapsed part (in reference time on a
-	// heterogeneous core).
-	res := h.Cache.Run(&b.thread.FP, v.pcpu, b.prof, b.work, h.refElapsed(v.pcpu, elapsed))
-	v.Counters.Add(res.Counters)
-	v.Domain.OS.BurstDone(b.thread, res.Ideal, now)
+	// heterogeneous core). The replay overwrites the plan, whose
+	// InsertedBytes the rollback has already consumed.
+	h.Cache.Run(&b.thread.FP, v.pcpu, b.prof, b.work, h.refElapsed(v.pcpu, elapsed), &b.planned)
+	v.Counters.Add(b.planned.Counters)
+	v.Domain.OS.BurstDone(b.thread, b.planned.Ideal, now)
 }
 
 // stopRunning takes v off its pCPU, settling any in-flight burst.

@@ -62,10 +62,17 @@ func (b *burnProgram) Next(t *guest.Thread, now sim.Time) guest.Action {
 		t.Jobs++
 	}
 	b.started = true
-	return guest.Action{Kind: guest.ActCompute, Work: b.job, Prof: b.prof}
+	return guest.Action{Kind: guest.ActCompute, Work: b.job, Prof: &b.prof}
 }
 
-func smallProf() cache.Profile { return cache.Profile{WSS: 64 * hw.KB, RefRate: 0.1} }
+// Test programs point at their own profile field or at one of these, so
+// steady-state dispatch stays allocation-free.
+var (
+	smallProfile = cache.Profile{WSS: 64 * hw.KB, RefRate: 0.1}
+	tinyProfile  = cache.Profile{WSS: 4096}
+)
+
+func smallProf() cache.Profile { return smallProfile }
 
 func newTestHyp(pcpus int) (*Hypervisor, *fifoSched) {
 	top := hw.I73770()
@@ -133,7 +140,7 @@ func TestIdleVCPUBlocksAndMachineGoesQuiet(t *testing.T) {
 			return guest.Action{Kind: guest.ActExit}
 		}
 		done = true
-		return guest.Action{Kind: guest.ActCompute, Work: 5 * sim.Millisecond, Prof: smallProf()}
+		return guest.Action{Kind: guest.ActCompute, Work: 5 * sim.Millisecond, Prof: &smallProfile}
 	})
 	d.OS.Spawn("once", 0, false, prog, 0)
 	h.Run(1 * sim.Second)
@@ -181,7 +188,7 @@ func (e *ioEcho) Next(t *guest.Thread, now sim.Time) guest.Action {
 		return guest.Action{Kind: guest.ActWaitIO, Port: 7}
 	case 1:
 		e.state = 2
-		return guest.Action{Kind: guest.ActCompute, Work: 100 * sim.Microsecond, Prof: cache.Profile{WSS: 4096}}
+		return guest.Action{Kind: guest.ActCompute, Work: 100 * sim.Microsecond, Prof: &tinyProfile}
 	default:
 		*e.served = append(*e.served, now)
 		e.state = 1
@@ -218,7 +225,7 @@ func (l *lockHog) Next(t *guest.Thread, now sim.Time) guest.Action {
 		return guest.Action{Kind: guest.ActAcquire, Lock: l.lock}
 	case 1:
 		l.state = 2
-		return guest.Action{Kind: guest.ActCompute, Work: l.hold, Prof: cache.Profile{WSS: 4096}}
+		return guest.Action{Kind: guest.ActCompute, Work: l.hold, Prof: &tinyProfile}
 	default:
 		l.state = 0
 		t.Jobs++
