@@ -1,9 +1,12 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -145,7 +148,9 @@ func TestManifestRebuildRoundTrip(t *testing.T) {
 }
 
 // TestJournalCheckpointBytes: Checkpoint returns the exact journaled
-// line, newline-terminated single-line JSON.
+// line, newline-terminated single-line JSON, with its top-level keys
+// in the order journals on disk and result streams already carry: the
+// grid coordinates, then apps and per_vm when present, then metrics.
 func TestJournalCheckpointBytes(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "j")
 	spec := journalSpec(t)
@@ -181,4 +186,71 @@ func TestJournalCheckpointBytes(t *testing.T) {
 			t.Fatal("checkpoint spans multiple lines")
 		}
 	}
+
+	// The fleet runs above carry apps but no per_vm; the genmix
+	// builtin's single-host runs carry both.
+	gspec, _ := Builtin("genmix")
+	gdir := filepath.Join(t.TempDir(), "g")
+	gj, err := CreateJournal(gdir, NewManifest(gspec, nil, "genmix"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Exec(gspec, Options{Workers: 2, Journal: gj}); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, d := range []string{dir, gdir} {
+		jd, _, err := OpenJournal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, idx := range jd.RestoredIndexes() {
+			line, err := jd.Checkpoint(idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := topLevelKeys(t, line)
+			present := map[string]bool{}
+			for _, k := range got {
+				present[k] = true
+				seen[k] = true
+			}
+			want := []string{"index", "scenario_idx", "policy_idx", "seed_idx", "scenario", "policy", "seed"}
+			for _, k := range []string{"apps", "per_vm"} {
+				if present[k] {
+					want = append(want, k)
+				}
+			}
+			want = append(want, "metrics")
+			if strings.Join(got, ",") != strings.Join(want, ",") {
+				t.Fatalf("%s run %d checkpoint keys = %v, want %v", filepath.Base(d), idx, got, want)
+			}
+		}
+	}
+	if !seen["apps"] || !seen["per_vm"] {
+		t.Fatalf("no checkpoint carried apps and per_vm (saw %v)", seen)
+	}
+}
+
+// topLevelKeys lists the keys of a JSON object in the order they
+// appear in data.
+func topLevelKeys(t *testing.T, data []byte) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("checkpoint is not a JSON object: %v %v", tok, err)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
 }
