@@ -41,7 +41,6 @@ func main() {
 	workers := flag.Int("workers", 0, "sweep worker goroutines per job (0 = GOMAXPROCS)")
 	fleetWorkers := flag.Int("fleet-workers", 0, "goroutines advancing each fleet run's hosts (0 = GOMAXPROCS)")
 	runTimeout := flag.Duration("run-timeout", 0, "per-run wall-clock watchdog (0 = none)")
-	benchDir := flag.String("bench-dir", ".", "directory holding the BENCH_*.json trajectory for /v1/bench")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "aqlsweepd: ", log.LstdFlags)
@@ -57,7 +56,6 @@ func main() {
 		SweepWorkers: *workers,
 		FleetWorkers: *fleetWorkers,
 		RunTimeout:   *runTimeout,
-		BenchDir:     *benchDir,
 		Logf:         logger.Printf,
 	})
 	if err != nil {

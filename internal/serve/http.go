@@ -21,7 +21,6 @@ import (
 //	GET  /v1/jobs/{id}/results    NDJSON cell-checkpoint stream (?after=<index>)
 //	GET  /v1/jobs/{id}/artifact   finished artifact (?format=json|csv|txt)
 //	GET  /v1/catalog              experiment-axis self-documentation
-//	GET  /v1/bench                the repo's BENCH_*.json trajectory
 //	GET  /v1/healthz              liveness
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -32,7 +31,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/results", s.handleResults)
 	mux.HandleFunc("GET /v1/jobs/{id}/artifact", s.handleArtifact)
 	mux.HandleFunc("GET /v1/catalog", s.handleCatalog)
-	mux.HandleFunc("GET /v1/bench", s.handleBench)
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -216,13 +214,4 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 		catalog.Doc
 		BuiltinSweeps []string `json:"builtin_sweeps"`
 	}{catalog.Document(), sweep.BuiltinNames()})
-}
-
-func (s *Server) handleBench(w http.ResponseWriter, r *http.Request) {
-	doc, err := LoadBench(s.cfg.BenchDir)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, doc)
 }

@@ -40,9 +40,6 @@ type Config struct {
 	FleetWorkers int
 	// RunTimeout bounds each run's wall clock (0 = none).
 	RunTimeout time.Duration
-	// BenchDir holds the BENCH_*.json trajectory served at /v1/bench
-	// (default "." — the repo root when run in-tree).
-	BenchDir string
 	// Logf receives operational log lines (default: discard).
 	Logf func(format string, args ...any)
 }
@@ -88,9 +85,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.JobSlots <= 0 {
 		cfg.JobSlots = 1
-	}
-	if cfg.BenchDir == "" {
-		cfg.BenchDir = "."
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}

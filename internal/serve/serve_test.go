@@ -177,7 +177,7 @@ func TestDispatchDeadlineOrdersWithinUser(t *testing.T) {
 // sweep worker (so partial progress is observable).
 func newTestServer(t *testing.T, dir string) *Server {
 	t.Helper()
-	s, err := New(Config{DataDir: dir, JobSlots: 1, SweepWorkers: 1, BenchDir: "../.."})
+	s, err := New(Config{DataDir: dir, JobSlots: 1, SweepWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func submitJSON(t *testing.T, ts *httptest.Server, body string) JobView {
 // TestHTTPEndToEnd drives the whole API surface: submit over HTTP,
 // follow the live NDJSON stream to completion, resume it with a
 // cursor, fetch the artifact and check it against batch bytes, and
-// exercise catalog/bench/healthz.
+// exercise catalog/healthz.
 func TestHTTPEndToEnd(t *testing.T) {
 	want := referenceArtifacts(t)
 	s := newTestServer(t, t.TempDir())
