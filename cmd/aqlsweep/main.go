@@ -236,7 +236,7 @@ func main() {
 // built-in sweeps.
 func printCatalog(w io.Writer) {
 	fmt.Fprintln(w, "topologies (spec files may also define their own under \"topologies\"):")
-	for _, n := range catalog.TopologyNames() {
+	for _, n := range catalog.Topologies.Names() {
 		t, err := catalog.TopologyByName(n)
 		if err != nil {
 			// A registered name that fails to build is a broken

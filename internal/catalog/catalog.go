@@ -108,6 +108,11 @@ var Scenarios = NewRegistry[func() scenario.Spec]("scenario")
 // Workloads maps benchmark application names to AppSpec factories.
 var Workloads = NewRegistry[func() workload.AppSpec]("workload")
 
+// Topologies maps machine names (i7-3770, xeon-e5-4603) to topology
+// factories. Spec files resolve a scenario's "topology" here unless
+// they define the name inline.
+var Topologies = NewRegistry[func() *hw.Topology]("topology")
+
 // ScenarioByName resolves a scenario axis point.
 func ScenarioByName(name string) (Scenario, error) {
 	f, err := Scenarios.Lookup(name)
@@ -115,6 +120,15 @@ func ScenarioByName(name string) (Scenario, error) {
 		return Scenario{}, err
 	}
 	return Scenario{Name: name, New: f}, nil
+}
+
+// TopologyByName returns a fresh copy of a registered machine.
+func TopologyByName(name string) (*hw.Topology, error) {
+	f, err := Topologies.Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return f(), nil
 }
 
 // WorkloadByName resolves a benchmark application by name, with a
@@ -187,22 +201,6 @@ func ExtraAxes() []ExtraAxis {
 	}
 	return out
 }
-
-// --- Topologies ------------------------------------------------------------
-//
-// The canonical topology registry lives in internal/hw so that layers
-// below the catalog (scenario generation) can resolve machines without
-// importing it; the catalog exposes the same registry as its topology
-// axis.
-
-// TopologyByName returns a fresh copy of a registered machine.
-func TopologyByName(name string) (*hw.Topology, error) { return hw.TopologyByName(name) }
-
-// TopologyNames lists the registered machines, sorted.
-func TopologyNames() []string { return hw.TopologyNames() }
-
-// RegisterTopology adds a named machine to the shared registry.
-func RegisterTopology(name string, f func() *hw.Topology) { hw.RegisterTopology(name, f) }
 
 // --- Metrics ---------------------------------------------------------------
 //

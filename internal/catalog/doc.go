@@ -52,7 +52,7 @@ func Document() Doc {
 	doc := Doc{
 		Scenarios:  Scenarios.Names(),
 		Workloads:  Workloads.Names(),
-		Topologies: TopologyNames(),
+		Topologies: Topologies.Names(),
 	}
 	for _, pd := range PolicyPlugins() {
 		doc.Policies = append(doc.Policies, PolicyDoc{

@@ -6,16 +6,20 @@ import (
 
 	"aqlsched/internal/baselines"
 	"aqlsched/internal/core"
+	"aqlsched/internal/hw"
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/sim"
 	"aqlsched/internal/workload"
 )
 
-// The paper's catalogue registers itself: Table 4's five colocation
-// scenarios plus the four-socket case, the full reference benchmark
-// suite, and every scheduling policy of the evaluation. The topology
-// entries ("i7-3770", "xeon-e5-4603") self-register in internal/hw.
+// The paper's catalogue registers itself: its two machines, Table 4's
+// five colocation scenarios plus the four-socket case, the full
+// reference benchmark suite, and every scheduling policy of the
+// evaluation.
 func init() {
+	Topologies.Register("i7-3770", hw.I73770)
+	Topologies.Register("xeon-e5-4603", hw.XeonE54603)
+
 	// Scenarios. Seed 0 in the constructors: the sweep layer overrides
 	// the simulation seed per run.
 	for _, s := range scenario.Table4(0) {

@@ -3,7 +3,6 @@ package hw
 import (
 	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 
 	"aqlsched/internal/sim"
@@ -92,53 +91,4 @@ func TestBuilderFromJSON(t *testing.T) {
 	if topo.L1.Size != 32*KB || topo.L2.Size != 256*KB {
 		t.Errorf("L1/L2 defaults lost: %d/%d", topo.L1.Size, topo.L2.Size)
 	}
-}
-
-func TestTopologyRegistry(t *testing.T) {
-	names := TopologyNames()
-	if len(names) < 2 {
-		t.Fatalf("registry too small: %v", names)
-	}
-	for _, want := range []string{"i7-3770", "xeon-e5-4603"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("paper machine %q not registered (have %v)", want, names)
-		}
-	}
-
-	i7, err := TopologyByName("i7-3770")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(i7, I73770()) {
-		t.Error("registry i7-3770 differs from I73770()")
-	}
-	// Lookups return fresh copies, never a shared value.
-	other, _ := TopologyByName("i7-3770")
-	if i7 == other {
-		t.Error("registry handed out the same *Topology twice")
-	}
-
-	if _, err := TopologyByName("pdp-11"); err == nil || !strings.Contains(err.Error(), "pdp-11") {
-		t.Errorf("unknown topology error = %v", err)
-	}
-}
-
-func TestRegisterTopologyGuards(t *testing.T) {
-	expectPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: no panic", name)
-			}
-		}()
-		f()
-	}
-	expectPanic("empty name", func() { RegisterTopology("", I73770) })
-	expectPanic("nil factory", func() { RegisterTopology("x", nil) })
-	expectPanic("duplicate", func() { RegisterTopology("i7-3770", I73770) })
 }
