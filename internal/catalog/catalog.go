@@ -186,8 +186,8 @@ func RegisterAxis(kind string, names func() []string) {
 
 // ExtraAxis is one published additional axis.
 type ExtraAxis struct {
-	Kind  string
-	Names []string
+	Kind  string   `json:"kind"`
+	Names []string `json:"names"`
 }
 
 // ExtraAxes lists the registered additional axes in registration order,

@@ -133,6 +133,27 @@ func (d Desc) Normalized(measured, baseline float64) (v float64, ok bool) {
 	return 0, false
 }
 
+// Schema is the JSON self-description of one metric: a Desc with its
+// enums spelled out, as artifacts and the catalog document carry it.
+type Schema struct {
+	Name      string `json:"name"`
+	Unit      string `json:"unit"`
+	Direction string `json:"direction"`
+	Agg       string `json:"agg"`
+	Scope     string `json:"scope"`
+}
+
+// Schema renders the desc's self-description.
+func (d Desc) Schema() Schema {
+	return Schema{
+		Name:      d.Name,
+		Unit:      d.Unit,
+		Direction: d.Direction.String(),
+		Agg:       d.Agg.String(),
+		Scope:     d.Scope.String(),
+	}
+}
+
 // --- Registry --------------------------------------------------------------
 
 var (

@@ -14,16 +14,6 @@ import (
 	"aqlsched/internal/report"
 )
 
-// MetricSchema is the self-description of one metric column in an
-// emitted artifact, derived from the registry Desc.
-type MetricSchema struct {
-	Name      string `json:"name"`
-	Unit      string `json:"unit"`
-	Direction string `json:"direction"`
-	Agg       string `json:"agg"`
-	Scope     string `json:"scope"`
-}
-
 // Document is the JSON artifact shape: the sweep's identity, its axes,
 // the metric schema, and the aggregate cells. Every emitter derives
 // its columns from the same schema, so a newly registered metric shows
@@ -31,19 +21,19 @@ type MetricSchema struct {
 // excludes wall-clock data so the artifact is byte-identical across
 // worker counts and machines.
 type Document struct {
-	Name      string         `json:"name"`
-	Baseline  string         `json:"baseline,omitempty"`
-	Seeds     int            `json:"seeds"`
-	Scenarios []string       `json:"scenarios"`
-	Policies  []string       `json:"policies"`
-	Failed    int            `json:"failed_runs,omitempty"`
-	Schema    []MetricSchema `json:"schema"`
-	Cells     []Cell         `json:"cells"`
+	Name      string           `json:"name"`
+	Baseline  string           `json:"baseline,omitempty"`
+	Seeds     int              `json:"seeds"`
+	Scenarios []string         `json:"scenarios"`
+	Policies  []string         `json:"policies"`
+	Failed    int              `json:"failed_runs,omitempty"`
+	Schema    []metrics.Schema `json:"schema"`
+	Cells     []Cell           `json:"cells"`
 }
 
 // Schema lists the metrics present anywhere in the result's cells, in
 // registry order — the emitted column set.
-func (r *Result) Schema() []MetricSchema {
+func (r *Result) Schema() []metrics.Schema {
 	present := map[string]bool{}
 	for i := range r.Cells {
 		c := &r.Cells[i]
@@ -56,18 +46,12 @@ func (r *Result) Schema() []MetricSchema {
 			present[m.Name] = true
 		}
 	}
-	out := []MetricSchema{}
+	out := []metrics.Schema{}
 	for _, d := range metrics.Descs() {
 		if !present[d.Name] {
 			continue
 		}
-		out = append(out, MetricSchema{
-			Name:      d.Name,
-			Unit:      d.Unit,
-			Direction: d.Direction.String(),
-			Agg:       d.Agg.String(),
-			Scope:     d.Scope.String(),
-		})
+		out = append(out, d.Schema())
 	}
 	return out
 }

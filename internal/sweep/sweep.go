@@ -78,16 +78,16 @@ type Spec struct {
 type Run struct {
 	// Index is the position in expansion order (scenario-major, then
 	// policy, then seed replication).
-	Index       int
-	ScenarioIdx int
-	PolicyIdx   int
-	SeedIdx     int
-	Scenario    string
-	Policy      string
+	Index       int    `json:"index"`
+	ScenarioIdx int    `json:"scenario_idx"`
+	PolicyIdx   int    `json:"policy_idx"`
+	SeedIdx     int    `json:"seed_idx"`
+	Scenario    string `json:"scenario"`
+	Policy      string `json:"policy"`
 	// Seed is the run's simulation seed, a pure function of BaseSeed
 	// and SeedIdx (shared across policies so normalization pairs runs
 	// of the same replication).
-	Seed uint64
+	Seed uint64 `json:"seed"`
 }
 
 func (s *Spec) seeds() int {
