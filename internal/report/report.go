@@ -1,5 +1,5 @@
 // Package report renders experiment results as fixed-width text tables
-// and ASCII bar charts — the textual equivalents of the paper's figures.
+// — the textual equivalents of the paper's figures.
 package report
 
 import (
@@ -91,75 +91,4 @@ func pad(s string, w int) string {
 		return s
 	}
 	return s + strings.Repeat(" ", w-len(s))
-}
-
-// Bar renders a horizontal ASCII bar scaled so that max fills width.
-func Bar(value, max float64, width int) string {
-	if max <= 0 || value < 0 {
-		return ""
-	}
-	n := int(value / max * float64(width))
-	if n > width {
-		n = width
-	}
-	if n < 0 {
-		n = 0
-	}
-	return strings.Repeat("#", n)
-}
-
-// BarChart renders labelled normalized bars with a reference mark at
-// 1.0 (the paper's figures all normalize over default Xen; lower is
-// better).
-type BarChart struct {
-	Title string
-	Items []BarItem
-	// Width of the largest bar in characters.
-	Width int
-}
-
-// BarItem is one bar.
-type BarItem struct {
-	Label string
-	Value float64
-}
-
-// Add appends a bar.
-func (b *BarChart) Add(label string, value float64) {
-	b.Items = append(b.Items, BarItem{Label: label, Value: value})
-}
-
-// Render writes the chart to w.
-func (b *BarChart) Render(w io.Writer) {
-	if b.Title != "" {
-		fmt.Fprintf(w, "%s\n%s\n", b.Title, strings.Repeat("-", len(b.Title)))
-	}
-	width := b.Width
-	if width <= 0 {
-		width = 50
-	}
-	max := 0.0
-	labelW := 0
-	for _, it := range b.Items {
-		if it.Value > max {
-			max = it.Value
-		}
-		if len(it.Label) > labelW {
-			labelW = len(it.Label)
-		}
-	}
-	if max < 1 {
-		max = 1
-	}
-	for _, it := range b.Items {
-		fmt.Fprintf(w, "%s %6.3f |%s\n", pad(it.Label, labelW), it.Value, Bar(it.Value, max, width))
-	}
-	fmt.Fprintln(w)
-}
-
-// String renders to a string.
-func (b *BarChart) String() string {
-	var sb strings.Builder
-	b.Render(&sb)
-	return sb.String()
 }

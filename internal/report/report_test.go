@@ -40,43 +40,3 @@ func TestTableRendersAligned(t *testing.T) {
 		}
 	}
 }
-
-func TestBar(t *testing.T) {
-	if b := Bar(5, 10, 10); b != "#####" {
-		t.Errorf("Bar(5,10,10) = %q", b)
-	}
-	if b := Bar(20, 10, 10); b != "##########" {
-		t.Errorf("over-max bar %q", b)
-	}
-	if b := Bar(1, 0, 10); b != "" {
-		t.Errorf("zero-max bar %q", b)
-	}
-	if b := Bar(-1, 10, 10); b != "" {
-		t.Errorf("negative bar %q", b)
-	}
-}
-
-func TestBarChart(t *testing.T) {
-	c := &BarChart{Title: "chart", Width: 20}
-	c.Add("aql", 0.8)
-	c.Add("xen", 1.0)
-	out := c.String()
-	if !strings.Contains(out, "aql") || !strings.Contains(out, "0.800") {
-		t.Errorf("chart missing items:\n%s", out)
-	}
-	// xen (the max) should have the longest bar.
-	lines := strings.Split(out, "\n")
-	var aqlBar, xenBar int
-	for _, l := range lines {
-		n := strings.Count(l, "#")
-		if strings.HasPrefix(l, "aql") {
-			aqlBar = n
-		}
-		if strings.HasPrefix(l, "xen") {
-			xenBar = n
-		}
-	}
-	if xenBar <= aqlBar {
-		t.Errorf("bar lengths wrong: aql=%d xen=%d", aqlBar, xenBar)
-	}
-}

@@ -16,10 +16,6 @@ const (
 	ParamInt ParamKind = "int"
 	// ParamDuration is a positive Go duration ("5ms", "90us").
 	ParamDuration ParamKind = "duration"
-	// ParamFloat is a decimal floating-point number ("0.5").
-	ParamFloat ParamKind = "float"
-	// ParamString is free-form text.
-	ParamString ParamKind = "string"
 )
 
 // ParamDesc declares one typed policy knob.

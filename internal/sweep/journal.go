@@ -124,11 +124,6 @@ func (m *Manifest) Rebuild() (*Spec, error) {
 	return spec, nil
 }
 
-// FingerprintBuiltin fingerprints a built-in sweep reference.
-func FingerprintBuiltin(name string) string {
-	return fingerprint([]byte("builtin:" + name))
-}
-
 // FingerprintSpec fingerprints raw spec-file bytes.
 func FingerprintSpec(data []byte) string {
 	return fingerprint(data)
@@ -281,9 +276,6 @@ func Checkpoints(dir string) ([]int, error) {
 	sort.Ints(idxs)
 	return idxs, nil
 }
-
-// Dir is the journal's directory.
-func (j *Journal) Dir() string { return j.dir }
 
 // Record checkpoints one successfully completed run. Failed runs are
 // not recorded — a resume retries them. The write is atomic, so a
