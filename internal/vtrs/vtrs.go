@@ -128,13 +128,6 @@ func Compute(delta hw.Counters, lim Limits) Cursors {
 	return c
 }
 
-// TypeHysteresis is the margin (in cursor percentage points) a new
-// candidate type's average must exceed the current type's average by
-// before the recognizer switches. It damps borderline flapping, which
-// would otherwise translate into vCPU migration churn (the concern that
-// made the paper pick n = 4 rather than 1).
-const TypeHysteresis = 8.0
-
 // TieBand generalizes the paper's priority-order tie-break to noisy
 // measurements: among cursor averages within TieBand points of the
 // maximum, the highest-priority (most specific) type wins. The LoLCF
@@ -150,9 +143,6 @@ type Recognizer struct {
 	hist   []Cursors
 	next   int
 	filled int
-
-	hasType bool
-	current vcputype.Type
 }
 
 // NewRecognizer builds a recognizer with the given window length.
@@ -206,10 +196,12 @@ func (r *Recognizer) Averages() Cursors {
 	return sum
 }
 
-// Type reports the recognized vCPU type: the highest cursor average,
-// ties broken by the paper's priority order (specific types first), with
-// hysteresis against borderline flapping. Before any sample arrives, the
-// default is LoLCF (an idle vCPU).
+// Type reports the recognized vCPU type: the first type, in the paper's
+// priority order (specific types first), whose cursor average lies
+// within TieBand points of the highest average. Each call decides from
+// the current window alone; the window length n is what damps
+// flapping. Before any sample arrives, the default is LoLCF (an idle
+// vCPU).
 func (r *Recognizer) Type() vcputype.Type {
 	if r.filled == 0 {
 		return vcputype.LoLCF
@@ -229,7 +221,5 @@ func (r *Recognizer) Type() vcputype.Type {
 			break
 		}
 	}
-	r.hasType = true
-	r.current = best
 	return best
 }
