@@ -4,10 +4,10 @@
 // adaptation diagnostics.
 //
 // Scenario and policy names resolve through the internal/catalog
-// registries — the same grammar sweep spec files use (`aqlsweep -list`
-// prints every valid name):
+// registries — the same grammar sweep spec files use. `aqlsweep -list`
+// prints every valid name and the full policy grammar:
 //
-//	aqlsim -scenario S1..S5|four-socket|dynphase -policy xen|aql|aql-w:<n>|vturbo|vslicer|microsliced|fixed:<dur>|aql-nocustom:<dur>
+//	aqlsim -scenario S1..S5|four-socket|dynphase -policy <policy>
 //	       [-quantum 30ms] [-warmup 2s] [-measure 6s] [-seed N]
 //
 // `-policy fixed -quantum 5ms` is accepted as back-compat sugar for
@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -50,7 +49,7 @@ func fmtMetric(name string, v float64) string {
 
 func main() {
 	scen := flag.String("scenario", "S5", "catalog scenario name (aqlsweep -list prints them)")
-	policy := flag.String("policy", "aql", "catalog policy name or parameterized form (fixed:<dur>, aql-nocustom:<dur>, aql-w:<n>)")
+	policy := flag.String("policy", "aql", "catalog policy name or parameterized form such as fixed:5ms (aqlsweep -list prints the grammar)")
 	quantum := flag.Duration("quantum", 30*time.Millisecond, "back-compat: with -policy fixed, shorthand for fixed:<quantum>")
 	warmup := flag.Duration("warmup", 2*time.Second, "warm-up window (simulated)")
 	measure := flag.Duration("measure", 6*time.Second, "measurement window (simulated)")
@@ -111,23 +110,7 @@ func main() {
 				Headers: []string{"cluster", "quantum", "pCPUs", "members"},
 			}
 			for _, c := range ctl.LastPlan.Clusters {
-				byVariant := map[string]int{}
-				for _, m := range c.Members {
-					byVariant[m.Variant()]++
-				}
-				keys := make([]string, 0, len(byVariant))
-				for k := range byVariant {
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				line := ""
-				for i, k := range keys {
-					if i > 0 {
-						line += ", "
-					}
-					line += fmt.Sprintf("%d %s", byVariant[k], k)
-				}
-				ct.AddRow(c.Name, c.Quantum.String(), len(c.PCPUs), line)
+				ct.AddRow(c.Name, c.Quantum.String(), len(c.PCPUs), c.MemberSummary())
 			}
 			ct.Render(os.Stdout)
 		}

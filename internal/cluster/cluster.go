@@ -26,6 +26,7 @@ package cluster
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"aqlsched/internal/hw"
 	"aqlsched/internal/sim"
@@ -170,6 +171,25 @@ type Cluster struct {
 // String renders a summary.
 func (c *Cluster) String() string {
 	return fmt.Sprintf("%s{q=%v, pcpus=%d, vcpus=%d}", c.Name, c.Quantum, len(c.PCPUs), len(c.Members))
+}
+
+// MemberSummary counts the members per variant, variants sorted by
+// name: "5 ConSpin-, 3 LoLCF" (Table 5's members column).
+func (c *Cluster) MemberSummary() string {
+	byVariant := map[string]int{}
+	for _, m := range c.Members {
+		byVariant[m.Variant()]++
+	}
+	keys := make([]string, 0, len(byVariant))
+	for k := range byVariant {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	parts := make([]string, len(keys))
+	for i, k := range keys {
+		parts[i] = fmt.Sprintf("%d %s", byVariant[k], k)
+	}
+	return strings.Join(parts, ", ")
 }
 
 // clusterSocket implements Algorithm 2 on one socket. nextID numbers

@@ -212,6 +212,22 @@ func TestVariantNotation(t *testing.T) {
 	}
 }
 
+// TestMemberSummary: members count per variant, variants sorted by
+// name, as Table 5 prints them.
+func TestMemberSummary(t *testing.T) {
+	c := &cluster.Cluster{Members: []cluster.VCPUInfo{
+		{Type: vcputype.LoLCF}, {Type: vcputype.ConSpin, LLCOAvg: 10},
+		{Type: vcputype.LoLCF}, {Type: vcputype.ConSpin, LLCOAvg: 10},
+		{Type: vcputype.ConSpin, LLCOAvg: 80},
+	}}
+	if got, want := c.MemberSummary(), "1 ConSpin+, 2 ConSpin-, 2 LoLCF"; got != want {
+		t.Errorf("MemberSummary = %q, want %q", got, want)
+	}
+	if got := (&cluster.Cluster{}).MemberSummary(); got != "" {
+		t.Errorf("empty cluster summary = %q, want \"\"", got)
+	}
+}
+
 func TestSingleSocketScenarioS1Clustering(t *testing.T) {
 	// Table 5 S1: {5 ConSpin + 3 LoLCF} at 1ms and {5 LLCF + 3 LoLCF}
 	// at 90ms, 2 pCPUs each.

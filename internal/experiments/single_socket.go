@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"sort"
 
 	"aqlsched/internal/catalog"
@@ -110,23 +109,7 @@ func (r *SingleSocketResult) Table5Table() *report.Table {
 	}
 	for _, sc := range r.Scenarios {
 		for _, c := range sc.Clusters {
-			byVariant := map[string]int{}
-			for _, m := range c.Members {
-				byVariant[m.Variant()]++
-			}
-			keys := make([]string, 0, len(byVariant))
-			for k := range byVariant {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			line := ""
-			for i, k := range keys {
-				if i > 0 {
-					line += ", "
-				}
-				line += fmt.Sprintf("%d %s", byVariant[k], k)
-			}
-			t.AddRow(sc.Name, c.Name, c.Quantum.String(), len(c.PCPUs), line)
+			t.AddRow(sc.Name, c.Name, c.Quantum.String(), len(c.PCPUs), c.MemberSummary())
 		}
 	}
 	return t
