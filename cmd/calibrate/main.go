@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	calibrate [-quick] [-seed N] [-repeats N]
+//	calibrate [-quick] [-seed N]
 package main
 
 import (
