@@ -459,12 +459,3 @@ func (s *Scheduler) PoolChanged(v *xen.VCPU, now sim.Time) {
 		s.enqueue(v)
 	}
 }
-
-// Credit reports v's current credit (tests/diagnostics).
-func (s *Scheduler) Credit(v *xen.VCPU) float64 { return sd(v).credit }
-
-// Prio reports v's current priority (tests/diagnostics).
-func (s *Scheduler) Prio(v *xen.VCPU) int { return sd(v).prio }
-
-// QueueLen reports the length of pCPU p's runqueue (tests).
-func (s *Scheduler) QueueLen(p hw.PCPUID) int { return len(s.runq[p]) }

@@ -41,9 +41,6 @@ type Host struct {
 	degradeGen int
 }
 
-// Capacity is the host's nominal admission limit in vCPUs.
-func (h *Host) Capacity() int { return h.capacity }
-
 // EffCapacity is the current admission limit: nominal capacity scaled
 // by the active degradation factor (0 while the host is down).
 func (h *Host) EffCapacity() int {
@@ -114,9 +111,6 @@ type VM struct {
 
 // Host reports where the VM currently runs (nil while queued or gone).
 func (v *VM) Host() *Host { return v.host }
-
-// Migrating reports whether a live migration is in flight.
-func (v *VM) Migrating() bool { return v.migrating }
 
 // --- Fleet -----------------------------------------------------------------
 

@@ -86,9 +86,6 @@ func NewOS(name string, ncpu int, engine *sim.Engine, waker Waker) *OS {
 	}
 }
 
-// NumCPUs reports the number of vCPUs the guest believes it has.
-func (os *OS) NumCPUs() int { return len(os.cpus) }
-
 // Threads lists all threads ever spawned (including dead ones).
 func (os *OS) Threads() []*Thread { return os.threads }
 

@@ -140,12 +140,3 @@ func (d *Domain) KickVCPU(cpu int, now sim.Time) {
 func (d *Domain) CountLockOp(cpu int) {
 	d.VCPUs[cpu].Counters.LockOps++
 }
-
-// TotalIOEvents sums the IO event counters across the domain's vCPUs.
-func (d *Domain) TotalIOEvents() uint64 {
-	var n uint64
-	for _, v := range d.VCPUs {
-		n += v.Counters.IOEvents
-	}
-	return n
-}
