@@ -189,7 +189,10 @@ func TestJournalCheckpointBytes(t *testing.T) {
 
 	// The fleet runs above carry apps but no per_vm; the genmix
 	// builtin's single-host runs carry both.
-	gspec, _ := Builtin("genmix")
+	gspec, ok := Builtin("genmix")
+	if !ok {
+		t.Fatal("built-in genmix sweep missing")
+	}
 	gdir := filepath.Join(t.TempDir(), "g")
 	gj, err := CreateJournal(gdir, NewManifest(gspec, nil, "genmix"))
 	if err != nil {

@@ -74,7 +74,9 @@ type Spec struct {
 	Measure sim.Time
 }
 
-// Run is one cell-replication of the expanded matrix.
+// Run is one cell-replication of the expanded matrix. Its JSON keys
+// lead every journal checkpoint, so renaming one breaks resuming
+// existing journals.
 type Run struct {
 	// Index is the position in expansion order (scenario-major, then
 	// policy, then seed replication).
