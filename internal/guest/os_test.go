@@ -1,22 +1,33 @@
 package guest
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"aqlsched/internal/cache"
 	"aqlsched/internal/sim"
 )
 
-// mockWaker records wake/kick calls.
+// mockWaker records wake/kick calls, per kind and in call order.
 type mockWaker struct {
 	wakes   []int
 	kicks   []int
+	calls   []string
 	lockOps int
 }
 
-func (w *mockWaker) WakeVCPU(cpu int, now sim.Time) { w.wakes = append(w.wakes, cpu) }
-func (w *mockWaker) KickVCPU(cpu int, now sim.Time) { w.kicks = append(w.kicks, cpu) }
-func (w *mockWaker) CountLockOp(cpu int)            { w.lockOps++ }
+func (w *mockWaker) WakeVCPU(cpu int, now sim.Time) {
+	w.wakes = append(w.wakes, cpu)
+	w.calls = append(w.calls, fmt.Sprintf("wake%d", cpu))
+}
+
+func (w *mockWaker) KickVCPU(cpu int, now sim.Time) {
+	w.kicks = append(w.kicks, cpu)
+	w.calls = append(w.calls, fmt.Sprintf("kick%d", cpu))
+}
+
+func (w *mockWaker) CountLockOp(cpu int) { w.lockOps++ }
 
 // seqProgram plays a fixed list of actions, then exits.
 type seqProgram struct {
@@ -407,5 +418,115 @@ func TestNextStepIdle(t *testing.T) {
 	os := NewOS("vm", 1, e, &mockWaker{})
 	if s := os.NextStep(0, 0); s.Kind != StepIdle {
 		t.Errorf("empty vCPU step %v, want idle", s.Kind)
+	}
+}
+
+// queueOrder renders a vCPU's IRQ and normal ready queues.
+func queueOrder(os *OS, cpu int) string {
+	names := func(q []*Thread) string {
+		var b strings.Builder
+		for i, t := range q {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteString(t.Name)
+		}
+		return b.String()
+	}
+	c := &os.cpus[cpu]
+	return fmt.Sprintf("irq[%s] ready[%s]", names(c.irqReady), names(c.ready))
+}
+
+// TestRunQueueOrderAfterBurstDone pins where a thread lands in its
+// vCPU's run queue after each completed burst, and the exact wake and
+// kick calls the guest makes: three normal threads and one IRQ handler
+// share vCPU 0, and every step names the thread NextStep serves next.
+func TestRunQueueOrderAfterBurstDone(t *testing.T) {
+	const ms = sim.Millisecond
+	e := sim.NewEngine()
+	w := &mockWaker{}
+	os := NewOS("vm", 1, e, w)
+	l := NewSpinLock("l")
+	sem := NewSemaphore("s", 0)
+	a := os.Spawn("A", 0, false, &seqProgram{actions: []Action{
+		computeAction(1 * ms), computeAction(2 * ms), computeAction(1 * ms),
+		{Kind: ActAcquire, Lock: l},
+	}}, 0)
+	b := os.Spawn("B", 0, false, &seqProgram{actions: []Action{
+		{Kind: ActAcquire, Lock: l}, computeAction(10 * ms),
+	}}, 0)
+	c := os.Spawn("C", 0, false, &seqProgram{actions: []Action{
+		computeAction(1 * ms), {Kind: ActSleep, Dur: 1 * ms}, computeAction(1 * ms),
+		{Kind: ActSemP, Sem: sem},
+	}}, 0)
+	h := os.Spawn("H", 0, true, &seqProgram{actions: []Action{
+		{Kind: ActWaitIO, Port: 7}, computeAction(100), computeAction(100),
+		{Kind: ActWaitIO, Port: 7},
+	}}, 0)
+	if got := strings.Join(w.calls, " "); got != "wake0 wake0 wake0" {
+		t.Fatalf("spawn calls %q, want three wakes", got)
+	}
+	if got := queueOrder(os, 0); got != "irq[] ready[A B C]" {
+		t.Fatalf("after spawn: queues %s", got)
+	}
+
+	steps := []struct {
+		name   string
+		do     func()
+		queues string
+		calls  string
+		serves *Thread
+		work   sim.Time
+	}{
+		{"continuing inside the slice keeps the head",
+			func() { os.BurstDone(a, 1*ms, 1*ms) },
+			"irq[] ready[A B C]", "wake0", a, 2 * ms},
+		{"finishing with the slice used up rotates",
+			func() { os.BurstDone(a, 2*ms, 3*ms) },
+			"irq[] ready[B C A]", "wake0", b, GuestSlice},
+		{"an unfinished action at the slice end rotates",
+			func() { os.BurstDone(b, GuestSlice, 6*ms) },
+			"irq[] ready[C A B]", "", c, 1 * ms},
+		{"sleep leaves the queue",
+			func() { os.BurstDone(c, 1*ms, 7*ms) },
+			"irq[] ready[A B]", "", a, 1 * ms},
+		{"an IO event queues the handler and kicks",
+			func() { os.DeliverIO(7, 7*ms) },
+			"irq[H] ready[A B]", "wake0 kick0", h, 100},
+		{"a continuing IRQ thread goes to the IRQ tail",
+			func() { os.BurstDone(h, 100, 7*ms+100) },
+			"irq[H] ready[A B]", "wake0 kick0", h, 100},
+		{"IO wait leaves the queue",
+			func() { os.BurstDone(h, 100, 7*ms+200) },
+			"irq[] ready[A B]", "", a, 1 * ms},
+		{"a thread woken from sleep joins the tail",
+			func() { e.RunUntil(8 * ms) },
+			"irq[] ready[A B C]", "wake0", a, 1 * ms},
+		{"a contended acquire goes to the tail as a spinner",
+			func() { os.BurstDone(a, 1*ms, 9*ms) },
+			"irq[] ready[B C A]", "wake0", b, GuestSlice},
+		{"the holder rotates at its slice end",
+			func() { os.BurstDone(b, GuestSlice, 12*ms) },
+			"irq[] ready[C A B]", "", c, 1 * ms},
+		{"a blocking SemP leaves the queue",
+			func() { os.BurstDone(c, 1*ms, 13*ms) },
+			"irq[] ready[A B]", "", a, 0},
+	}
+	for _, st := range steps {
+		w.calls = nil
+		st.do()
+		if got := queueOrder(os, 0); got != st.queues {
+			t.Fatalf("%s: queues %s, want %s", st.name, got, st.queues)
+		}
+		if got := strings.Join(w.calls, " "); got != st.calls {
+			t.Fatalf("%s: waker calls %q, want %q", st.name, got, st.calls)
+		}
+		s := os.NextStep(0, e.Now())
+		if s.Thread != st.serves || s.Work != st.work {
+			t.Fatalf("%s: NextStep serves %v for %v, want %s for %v", st.name, s.Thread, s.Work, st.serves.Name, st.work)
+		}
+	}
+	if a.State() != Spinning || c.State() != BlockedSem || h.State() != BlockedIO {
+		t.Errorf("final states A=%v C=%v H=%v, want spinning, blocked-sem, blocked-io", a.State(), c.State(), h.State())
 	}
 }
