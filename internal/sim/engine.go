@@ -9,9 +9,12 @@
 // slot table with an intrusive free-list, so scheduling, firing and
 // cancelling events allocates nothing in steady state: the heap and slot
 // slices grow to the simulation's peak pending count and are reused from
-// then on. Hot callers that repeatedly schedule and cancel the same
-// logical callback (one per vCPU, say) should use a Timer, which binds
-// its function once and re-arms without any per-occurrence allocation.
+// then on. An event due strictly before every pending one (the common
+// case for a burst that ends before anything else happens) waits in a
+// one-entry front slot outside the heap, and fires without a sift. Hot
+// callers that repeatedly schedule and cancel the same logical callback
+// (one per vCPU, say) should use a Timer, which binds its function and a
+// slot once and re-arms without any per-occurrence allocation.
 package sim
 
 import (
@@ -78,24 +81,35 @@ func entryLess(a, b heapEntry) bool {
 	return a.seq < b.seq
 }
 
-// slot carries the callback state of one pending event. Free slots are
-// chained through next; gen increments on every free so stale Event
-// handles (and stale Timer fires) can be detected.
+// slot carries the callback state of one event. A slot belongs to one
+// scheduled event from At until it fires or is cancelled, or to one
+// Timer from its first Arm until Stop. Free slots are chained through
+// next; gen increments on every free so stale Event handles can be
+// detected.
 type slot struct {
 	fn    EventFunc
 	timer *Timer
 	at    Time
 	gen   uint32
-	heap  int32 // index into Engine.heap, -1 when free
+	heap  int32 // index into Engine.heap, inFront, or notPending
 	next  int32 // free-list link, meaningful only when free
 }
+
+// Values of slot.heap for a slot outside the heap.
+const (
+	notPending int32 = -1 // free, or a Timer's slot between occurrences
+	inFront    int32 = -2 // the entry in Engine.front
+)
 
 // Engine is a discrete-event simulation loop.
 //
 // The zero value is not usable; call NewEngine.
 type Engine struct {
-	now     Time
-	seq     uint64
+	now Time
+	seq uint64
+	// front, when its slot is not -1, is due strictly before every heap
+	// entry, so it is always the next event to fire.
+	front   heapEntry
 	heap    []heapEntry
 	slots   []slot
 	free    int32 // head of the slot free-list, -1 when empty
@@ -107,7 +121,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{free: -1}
+	return &Engine{free: -1, front: heapEntry{slot: -1}}
 }
 
 // Now reports the current simulated time.
@@ -117,12 +131,20 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are scheduled and not yet fired.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int {
+	if e.front.slot >= 0 {
+		return len(e.heap) + 1
+	}
+	return len(e.heap)
+}
 
 // NextAt reports the due time of the earliest pending event, or false
 // when none is pending. It fires nothing and leaves the clock alone, so
 // a driver can act at that time before the event fires.
 func (e *Engine) NextAt() (Time, bool) {
+	if e.front.slot >= 0 {
+		return e.front.at, true
+	}
 	if len(e.heap) == 0 {
 		return 0, false
 	}
@@ -137,8 +159,17 @@ func (e *Engine) allocSlot() int32 {
 		e.free = e.slots[i].next
 		return i
 	}
-	e.slots = append(e.slots, slot{gen: 1, heap: -1})
+	e.slots = append(e.slots, slot{gen: 1, heap: notPending})
 	return int32(len(e.slots) - 1)
+}
+
+// bindSlot allocates a slot and binds fn (and its timer, if any) to it.
+func (e *Engine) bindSlot(fn EventFunc, t *Timer) int32 {
+	i := e.allocSlot()
+	s := &e.slots[i]
+	s.fn = fn
+	s.timer = t
+	return i
 }
 
 func (e *Engine) freeSlot(i int32) {
@@ -146,24 +177,47 @@ func (e *Engine) freeSlot(i int32) {
 	s.fn = nil
 	s.timer = nil
 	s.gen++
-	s.heap = -1
+	s.heap = notPending
 	s.next = e.free
 	e.free = i
 }
 
-// schedule allocates a slot for (at, fn) and pushes it on the heap.
-func (e *Engine) schedule(at Time, fn EventFunc, t *Timer) int32 {
+// schedule queues the bound slot i at `at` with the next sequence
+// number: in the front slot when it is due strictly before every pending
+// event (a later schedule is never due before an equal-time one), on the
+// heap otherwise.
+func (e *Engine) schedule(at Time, i int32) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
-	i := e.allocSlot()
-	s := &e.slots[i]
-	s.fn = fn
-	s.timer = t
-	s.at = at
-	e.push(heapEntry{at: at, seq: e.seq, slot: i})
+	e.slots[i].at = at
+	en := heapEntry{at: at, seq: e.seq, slot: i}
 	e.seq++
-	return i
+	switch {
+	case e.front.slot >= 0:
+		if at >= e.front.at {
+			e.push(en)
+			return
+		}
+		e.push(e.front) // still due before every heap entry
+	case len(e.heap) > 0 && at >= e.heap[0].at:
+		e.push(en)
+		return
+	}
+	e.front = en
+	e.slots[i].heap = inFront
+}
+
+// unschedule takes the pending slot i out of the queue; the slot stays
+// allocated.
+func (e *Engine) unschedule(i int32) {
+	s := &e.slots[i]
+	if s.heap == inFront {
+		e.front.slot = -1
+	} else {
+		e.removeAt(int(s.heap))
+	}
+	s.heap = notPending
 }
 
 // --- 4-ary heap -----------------------------------------------------------
@@ -255,7 +309,8 @@ func (e *Engine) popMin() heapEntry {
 // At schedules fn to run at the absolute time at. Scheduling in the past
 // (before Now) panics: that is always a simulation bug.
 func (e *Engine) At(at Time, fn EventFunc) Event {
-	i := e.schedule(at, fn, nil)
+	i := e.bindSlot(fn, nil)
+	e.schedule(at, i)
 	return Event{slot: i, gen: e.slots[i].gen}
 }
 
@@ -274,7 +329,7 @@ func (e *Engine) Scheduled(ev Event) bool {
 		return false
 	}
 	s := &e.slots[ev.slot]
-	return s.gen == ev.gen && s.heap >= 0
+	return s.gen == ev.gen && s.heap != notPending
 }
 
 // Cancel removes a pending event and reports whether it was still
@@ -284,8 +339,7 @@ func (e *Engine) Cancel(ev Event) bool {
 	if !e.Scheduled(ev) {
 		return false
 	}
-	s := &e.slots[ev.slot]
-	e.removeAt(int(s.heap))
+	e.unschedule(ev.slot)
 	e.freeSlot(ev.slot)
 	return true
 }
@@ -293,16 +347,24 @@ func (e *Engine) Cancel(ev Event) bool {
 // Step fires the next pending event, advancing the clock to its due
 // time. It reports false when the queue is empty.
 func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
+	var en heapEntry
+	switch {
+	case e.front.slot >= 0:
+		en = e.front
+		e.front.slot = -1
+	case len(e.heap) > 0:
+		en = e.popMin()
+	default:
 		return false
 	}
-	en := e.popMin()
 	s := &e.slots[en.slot]
 	fn := s.fn
-	if t := s.timer; t != nil {
-		t.slot = -1
+	if s.timer != nil {
+		// The timer keeps its slot for the next Arm.
+		s.heap = notPending
+	} else {
+		e.freeSlot(en.slot)
 	}
-	e.freeSlot(en.slot)
 	e.now = en.at
 	e.fired++
 	fn(e.now)
@@ -314,7 +376,10 @@ func (e *Engine) Step() bool {
 // that measurement windows are well defined.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
-	for !e.stopped && len(e.heap) > 0 && e.heap[0].at <= deadline {
+	for !e.stopped {
+		if at, ok := e.NextAt(); !ok || at > deadline {
+			break
+		}
 		e.Step()
 	}
 	if !e.stopped && e.now < deadline {
@@ -341,12 +406,16 @@ func (e *Engine) Stop() { e.stopped = true }
 // number, so a rearmed timer orders against equal-time events exactly as
 // a newly scheduled one would.
 //
+// A timer binds an engine slot on its first Arm and keeps it across
+// fires and re-arms, so the arm-fire cycle touches neither the free-list
+// nor the slot's callback pointers; Stop releases the slot.
+//
 // A Timer is owned by its engine and must not be copied. The zero Timer
 // is not usable; call Engine.NewTimer.
 type Timer struct {
 	e    *Engine
 	fn   EventFunc
-	slot int32 // pending slot, -1 when idle
+	slot int32 // bound slot, -1 when none
 }
 
 // NewTimer binds fn to a new idle timer on the engine.
@@ -355,12 +424,14 @@ func (e *Engine) NewTimer(fn EventFunc) *Timer {
 }
 
 // Armed reports whether the timer has a pending occurrence.
-func (t *Timer) Armed() bool { return t.slot >= 0 }
+func (t *Timer) Armed() bool {
+	return t.slot >= 0 && t.e.slots[t.slot].heap != notPending
+}
 
 // When reports the due time of the pending occurrence; meaningless when
 // the timer is not armed.
 func (t *Timer) When() Time {
-	if t.slot < 0 {
+	if !t.Armed() {
 		return 0
 	}
 	return t.e.slots[t.slot].at
@@ -371,19 +442,27 @@ func (t *Timer) When() Time {
 // un-arms itself immediately before its function runs, so the function
 // may re-arm from inside the callback.
 func (t *Timer) Arm(at Time) {
-	t.Stop()
-	t.slot = t.e.schedule(at, t.fn, t)
+	e := t.e
+	switch {
+	case t.slot < 0:
+		t.slot = e.bindSlot(t.fn, t)
+	case e.slots[t.slot].heap != notPending:
+		e.unschedule(t.slot)
+	}
+	e.schedule(at, t.slot)
 }
 
-// Stop cancels the pending occurrence, if any, and reports whether one
-// was pending.
+// Stop cancels the pending occurrence, if any, releases the timer's
+// slot and reports whether an occurrence was pending.
 func (t *Timer) Stop() bool {
 	if t.slot < 0 {
 		return false
 	}
-	s := &t.e.slots[t.slot]
-	t.e.removeAt(int(s.heap))
+	pending := t.e.slots[t.slot].heap != notPending
+	if pending {
+		t.e.unschedule(t.slot)
+	}
 	t.e.freeSlot(t.slot)
 	t.slot = -1
-	return true
+	return pending
 }
