@@ -72,38 +72,68 @@ func (s ThreadState) String() string {
 type ActionKind int
 
 const (
-	// ActCompute: execute Work ideal time with memory profile Prof.
+	// ActCompute: execute Arg ideal time with memory profile Obj.
 	ActCompute ActionKind = iota
-	// ActAcquire: take the spin-lock (spin while held elsewhere).
+	// ActAcquire: take the spin-lock Obj (spin while held elsewhere).
 	ActAcquire
-	// ActRelease: release the spin-lock.
+	// ActRelease: release the spin-lock Obj.
 	ActRelease
-	// ActSemP: semaphore down (block while unavailable).
+	// ActSemP: semaphore Obj down (block while unavailable).
 	ActSemP
-	// ActSemV: semaphore up.
+	// ActSemV: semaphore Obj up.
 	ActSemV
-	// ActWaitIO: block until an event arrives on Port.
+	// ActWaitIO: block until an event arrives on port Arg.
 	ActWaitIO
-	// ActSleep: block for Dur.
+	// ActSleep: block for Arg.
 	ActSleep
 	// ActExit: terminate the thread.
 	ActExit
 )
 
-// Action is one instruction from a Program to the guest kernel.
+// Action is one instruction from a Program to the guest kernel. Build
+// one with Compute, Acquire, Release, SemP, SemV, WaitIO, Sleep or Exit.
+//
+// An Action is at most four words in at most four fields, so a
+// Program.Next result stays in registers: a larger struct is spilled to
+// the stack and copied back on every action.
 type Action struct {
 	Kind ActionKind
-	Work sim.Time
-	// Prof is the memory profile of an ActCompute action. The program
-	// owns it and must not change it while the program runs: the cache
-	// model reads it at every burst of the action, and again when a
-	// preempted burst is replayed.
-	Prof *cache.Profile
-	Lock *SpinLock
-	Sem  *Semaphore
-	Port int
-	Dur  sim.Time
+	// Arg is the compute work (ActCompute), the sleep length (ActSleep)
+	// or the port (ActWaitIO).
+	Arg sim.Time
+	// Obj is the *cache.Profile of ActCompute, the *SpinLock of
+	// ActAcquire and ActRelease, or the *Semaphore of ActSemP and
+	// ActSemV. The program owns a profile and must not change it while
+	// the program runs: the cache model reads it at every burst of the
+	// action, and again when a preempted burst is replayed.
+	Obj any
 }
+
+// Compute executes work ideal time with memory profile prof.
+func Compute(work sim.Time, prof *cache.Profile) Action {
+	return Action{Kind: ActCompute, Arg: work, Obj: prof}
+}
+
+// Acquire takes spin-lock l, spinning while another thread holds it.
+func Acquire(l *SpinLock) Action { return Action{Kind: ActAcquire, Obj: l} }
+
+// Release releases spin-lock l.
+func Release(l *SpinLock) Action { return Action{Kind: ActRelease, Obj: l} }
+
+// SemP takes a unit of semaphore s, blocking while none is available.
+func SemP(s *Semaphore) Action { return Action{Kind: ActSemP, Obj: s} }
+
+// SemV returns a unit to semaphore s.
+func SemV(s *Semaphore) Action { return Action{Kind: ActSemV, Obj: s} }
+
+// WaitIO blocks until an event arrives on port.
+func WaitIO(port int) Action { return Action{Kind: ActWaitIO, Arg: sim.Time(port)} }
+
+// Sleep blocks for d.
+func Sleep(d sim.Time) Action { return Action{Kind: ActSleep, Arg: d} }
+
+// Exit terminates the thread.
+func Exit() Action { return Action{Kind: ActExit} }
 
 // Program drives a thread. Next is called whenever the previous action
 // has fully completed; it must return the next action.

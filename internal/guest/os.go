@@ -132,17 +132,27 @@ func (os *OS) Shutdown() {
 // enqueue puts a ready thread on its vCPU's queue and pokes the
 // hypervisor. A thread continuing within its guest slice (preferHead)
 // keeps the head of the queue.
+//
+// BurstDone leaves a thread queued while its program picks the next
+// action. Such a thread stays in place when it is the normal queue's
+// head and keeps its slice; otherwise it is dequeued and re-queued like
+// any other. Leaving it at the head is exact: while its vCPU has no
+// burst in flight no other thread there is head-inserted, and tail
+// appends commute with it staying first.
 func (os *OS) enqueue(t *Thread, now sim.Time) {
-	if os.dead || t.queued || t.state != Ready {
+	if os.dead || t.state != Ready {
 		return
 	}
 	c := &os.cpus[t.CPU]
+	if t.queued && (t.IRQ || !t.preferHead || c.ready[0] != t) {
+		os.dequeue(t)
+	}
 	switch {
+	case t.queued: // stays at the head
 	case t.IRQ:
 		c.irqReady = append(c.irqReady, t)
 	case t.preferHead:
-		// Head insert in place: this runs after every completed action
-		// that kept the guest slice, so it must not allocate.
+		// Head insert in place: this must not allocate.
 		c.ready = append(c.ready, nil)
 		copy(c.ready[1:], c.ready)
 		c.ready[0] = t
@@ -187,40 +197,44 @@ func (os *OS) advance(t *Thread, now sim.Time) {
 		a := t.prog.Next(t, now)
 		switch a.Kind {
 		case ActCompute:
-			if a.Work <= 0 {
+			if a.Arg <= 0 {
 				continue // zero work: fetch next action
 			}
-			if a.Prof == nil {
+			prof, _ := a.Obj.(*cache.Profile)
+			if prof == nil {
 				panic("guest: ActCompute without profile")
 			}
-			t.prof = a.Prof
-			t.remaining = a.Work
+			t.prof = prof
+			t.remaining = a.Arg
 			t.state = Ready
 			os.enqueue(t, now)
 			return
 		case ActAcquire:
-			if a.Lock == nil {
+			lock, _ := a.Obj.(*SpinLock)
+			if lock == nil {
 				panic("guest: ActAcquire without lock")
 			}
-			if a.Lock.tryAcquire(t, now) {
+			if lock.tryAcquire(t, now) {
 				continue // got it immediately
 			}
 			// Contended: spin. The thread stays runnable and burns CPU.
-			t.spinLock = a.Lock
+			t.spinLock = lock
 			t.state = Spinning
 			os.enqueue2Spin(t, now)
 			return
 		case ActRelease:
-			if a.Lock == nil {
+			lock, _ := a.Obj.(*SpinLock)
+			if lock == nil {
 				panic("guest: ActRelease without lock")
 			}
-			a.Lock.release(t, now)
+			lock.release(t, now)
 			continue
 		case ActSemP:
-			if a.Sem == nil {
+			sem, _ := a.Obj.(*Semaphore)
+			if sem == nil {
 				panic("guest: ActSemP without semaphore")
 			}
-			if a.Sem.tryP(t) {
+			if sem.tryP(t) {
 				continue
 			}
 			t.state = BlockedSem
@@ -229,21 +243,23 @@ func (os *OS) advance(t *Thread, now sim.Time) {
 			os.dequeue(t)
 			return
 		case ActSemV:
-			if a.Sem == nil {
+			sem, _ := a.Obj.(*Semaphore)
+			if sem == nil {
 				panic("guest: ActSemV without semaphore")
 			}
-			a.Sem.v(now)
+			sem.v(now)
 			continue
 		case ActWaitIO:
-			os.portOwner[a.Port] = t.CPU
-			if os.pending[a.Port] > 0 {
-				os.pending[a.Port]--
+			port := int(a.Arg)
+			os.portOwner[port] = t.CPU
+			if os.pending[port] > 0 {
+				os.pending[port]--
 				continue // event already queued: consume and go on
 			}
-			if prev, ok := os.ioWaiters[a.Port]; ok && prev != t {
-				panic(fmt.Sprintf("guest: two threads wait on port %d", a.Port))
+			if prev, ok := os.ioWaiters[port]; ok && prev != t {
+				panic(fmt.Sprintf("guest: two threads wait on port %d", port))
 			}
-			os.ioWaiters[a.Port] = t
+			os.ioWaiters[port] = t
 			t.state = BlockedIO
 			t.sliceUsed = 0
 			t.preferHead = false
@@ -254,8 +270,8 @@ func (os *OS) advance(t *Thread, now sim.Time) {
 			t.sliceUsed = 0
 			t.preferHead = false
 			os.dequeue(t)
-			if a.Dur < 0 {
-				panic(fmt.Sprintf("guest: negative sleep %v", a.Dur))
+			if a.Arg < 0 {
+				panic(fmt.Sprintf("guest: negative sleep %v", a.Arg))
 			}
 			if t.wake == nil {
 				// Bind the wake-up callback once per thread; later sleeps
@@ -271,7 +287,7 @@ func (os *OS) advance(t *Thread, now sim.Time) {
 					os.advance(tt, wake)
 				})
 			}
-			t.wake.Arm(now + a.Dur)
+			t.wake.Arm(now + a.Arg)
 			return
 		case ActExit:
 			t.state = Dead
@@ -283,12 +299,11 @@ func (os *OS) advance(t *Thread, now sim.Time) {
 	}
 }
 
-// enqueue2Spin queues a spinning thread: spinners live on the normal
-// ready queue (they occupy the CPU like any runnable thread).
+// enqueue2Spin queues a spinning thread at the tail: spinners live on
+// the normal ready queue (they occupy the CPU like any runnable thread).
+// A thread that BurstDone left queued moves there too.
 func (os *OS) enqueue2Spin(t *Thread, now sim.Time) {
-	if t.queued {
-		return
-	}
+	os.dequeue(t)
 	c := &os.cpus[t.CPU]
 	c.ready = append(c.ready, t)
 	t.queued = true
@@ -368,8 +383,9 @@ func (os *OS) BurstDone(t *Thread, ideal sim.Time, now sim.Time) {
 		return
 	}
 	// Action complete: keep the CPU while the slice lasts, so that e.g.
-	// a just-acquired lock's critical section runs immediately.
-	os.dequeue(t)
+	// a just-acquired lock's critical section runs immediately. The
+	// thread stays queued while its program picks the next action (see
+	// enqueue).
 	t.preferHead = t.sliceUsed < GuestSlice
 	if !t.preferHead {
 		t.sliceUsed = 0

@@ -2,8 +2,10 @@ package guest
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"aqlsched/internal/cache"
 	"aqlsched/internal/sim"
@@ -37,7 +39,7 @@ type seqProgram struct {
 
 func (p *seqProgram) Next(t *Thread, now sim.Time) Action {
 	if p.pos >= len(p.actions) {
-		return Action{Kind: ActExit}
+		return Exit()
 	}
 	a := p.actions[p.pos]
 	p.pos++
@@ -48,7 +50,7 @@ func (p *seqProgram) Next(t *Thread, now sim.Time) Action {
 var testProf = cache.Profile{WSS: 16 * 1024}
 
 func computeAction(d sim.Time) Action {
-	return Action{Kind: ActCompute, Work: d, Prof: &testProf}
+	return Compute(d, &testProf)
 }
 
 func TestSpawnComputeThreadBecomesReady(t *testing.T) {
@@ -132,7 +134,7 @@ func TestIRQThreadPreemptsNormal(t *testing.T) {
 	os := NewOS("vm", 1, e, w)
 	os.Spawn("cgi", 0, false, &seqProgram{actions: []Action{computeAction(sim.Second)}}, 0)
 	h := os.Spawn("handler", 0, true, &seqProgram{actions: []Action{
-		{Kind: ActWaitIO, Port: 7},
+		WaitIO(7),
 		computeAction(10),
 	}}, 0)
 	if h.State() != BlockedIO {
@@ -160,9 +162,9 @@ func TestDeliverIOWithNoWaiterQueues(t *testing.T) {
 	os := NewOS("vm", 1, e, &mockWaker{})
 	os.DeliverIO(3, 0) // no waiter yet
 	h := os.Spawn("handler", 0, true, &seqProgram{actions: []Action{
-		{Kind: ActWaitIO, Port: 3},
+		WaitIO(3),
 		computeAction(10),
-		{Kind: ActWaitIO, Port: 3},
+		WaitIO(3),
 		computeAction(10),
 	}}, 0)
 	// The queued event lets the first wait complete immediately.
@@ -179,7 +181,7 @@ func TestSleepWakesViaEngine(t *testing.T) {
 	e := sim.NewEngine()
 	os := NewOS("vm", 1, e, &mockWaker{})
 	th := os.Spawn("s", 0, false, &seqProgram{actions: []Action{
-		{Kind: ActSleep, Dur: 500},
+		Sleep(500),
 		computeAction(10),
 	}}, 0)
 	if th.State() != Sleeping {
@@ -200,9 +202,9 @@ func TestSpinLockUncontended(t *testing.T) {
 	os := NewOS("vm", 1, e, &mockWaker{})
 	l := NewSpinLock("l")
 	th := os.Spawn("w", 0, false, &seqProgram{actions: []Action{
-		{Kind: ActAcquire, Lock: l},
+		Acquire(l),
 		computeAction(10),
-		{Kind: ActRelease, Lock: l},
+		Release(l),
 	}}, 0)
 	if l.Holder() != th {
 		t.Fatal("fast-path acquire failed")
@@ -223,14 +225,14 @@ func TestSpinLockContentionAndGrant(t *testing.T) {
 	os := NewOS("vm", 2, e, w)
 	l := NewSpinLock("l")
 	a := os.Spawn("a", 0, false, &seqProgram{actions: []Action{
-		{Kind: ActAcquire, Lock: l},
+		Acquire(l),
 		computeAction(100),
-		{Kind: ActRelease, Lock: l},
+		Release(l),
 	}}, 0)
 	b := os.Spawn("b", 1, false, &seqProgram{actions: []Action{
-		{Kind: ActAcquire, Lock: l},
+		Acquire(l),
 		computeAction(10),
-		{Kind: ActRelease, Lock: l},
+		Release(l),
 	}}, 0)
 	if b.State() != Spinning {
 		t.Fatalf("b state %v, want spinning", b.State())
@@ -275,9 +277,9 @@ func TestSpinLockFIFOOrder(t *testing.T) {
 	l := NewSpinLock("l")
 	mkProg := func() Program {
 		return &seqProgram{actions: []Action{
-			{Kind: ActAcquire, Lock: l},
+			Acquire(l),
 			computeAction(10),
-			{Kind: ActRelease, Lock: l},
+			Release(l),
 		}}
 	}
 	a := os.Spawn("a", 0, false, mkProg(), 0)
@@ -306,9 +308,9 @@ func TestReleaseWithDescheduledWaitersLeavesLockFree(t *testing.T) {
 	l := NewSpinLock("l")
 	mkProg := func() Program {
 		return &seqProgram{actions: []Action{
-			{Kind: ActAcquire, Lock: l},
+			Acquire(l),
 			computeAction(10),
-			{Kind: ActRelease, Lock: l},
+			Release(l),
 		}}
 	}
 	a := os.Spawn("a", 0, false, mkProg(), 0)
@@ -341,7 +343,7 @@ func TestReleaseByNonOwnerPanics(t *testing.T) {
 		}
 	}()
 	os.Spawn("bad", 0, false, &seqProgram{actions: []Action{
-		{Kind: ActRelease, Lock: l},
+		Release(l),
 	}}, 0)
 }
 
@@ -350,12 +352,12 @@ func TestSemaphoreBlockingAndHandoff(t *testing.T) {
 	os := NewOS("vm", 2, e, &mockWaker{})
 	s := NewSemaphore("s", 1)
 	a := os.Spawn("a", 0, false, &seqProgram{actions: []Action{
-		{Kind: ActSemP, Sem: s},
+		SemP(s),
 		computeAction(100),
-		{Kind: ActSemV, Sem: s},
+		SemV(s),
 	}}, 0)
 	b := os.Spawn("b", 1, false, &seqProgram{actions: []Action{
-		{Kind: ActSemP, Sem: s},
+		SemP(s),
 		computeAction(10),
 	}}, 0)
 	if b.State() != BlockedSem {
@@ -378,7 +380,7 @@ func TestJobsCounter(t *testing.T) {
 	os := NewOS("vm", 1, e, &mockWaker{})
 	prog := ProgramFunc(func(t *Thread, now sim.Time) Action {
 		t.Jobs++
-		return Action{Kind: ActCompute, Work: 10, Prof: &testProf}
+		return Compute(10, &testProf)
 	})
 	th := os.Spawn("loop", 0, false, prog, 0)
 	for i := 0; i < 5; i++ {
@@ -398,7 +400,7 @@ func TestInfiniteInterpretPanics(t *testing.T) {
 		}
 	}()
 	os.Spawn("bad", 0, false, ProgramFunc(func(*Thread, sim.Time) Action {
-		return Action{Kind: ActCompute, Work: 0}
+		return Compute(0, nil)
 	}), 0)
 }
 
@@ -410,7 +412,7 @@ func TestComputeWithoutProfilePanics(t *testing.T) {
 			t.Errorf("recover() = %v, want the missing-profile panic", r)
 		}
 	}()
-	os.Spawn("bad", 0, false, &seqProgram{actions: []Action{{Kind: ActCompute, Work: 10}}}, 0)
+	os.Spawn("bad", 0, false, &seqProgram{actions: []Action{Compute(10, nil)}}, 0)
 }
 
 func TestNextStepIdle(t *testing.T) {
@@ -450,18 +452,18 @@ func TestRunQueueOrderAfterBurstDone(t *testing.T) {
 	sem := NewSemaphore("s", 0)
 	a := os.Spawn("A", 0, false, &seqProgram{actions: []Action{
 		computeAction(1 * ms), computeAction(2 * ms), computeAction(1 * ms),
-		{Kind: ActAcquire, Lock: l},
+		Acquire(l),
 	}}, 0)
 	b := os.Spawn("B", 0, false, &seqProgram{actions: []Action{
-		{Kind: ActAcquire, Lock: l}, computeAction(10 * ms),
+		Acquire(l), computeAction(10 * ms),
 	}}, 0)
 	c := os.Spawn("C", 0, false, &seqProgram{actions: []Action{
-		computeAction(1 * ms), {Kind: ActSleep, Dur: 1 * ms}, computeAction(1 * ms),
-		{Kind: ActSemP, Sem: sem},
+		computeAction(1 * ms), Sleep(1 * ms), computeAction(1 * ms),
+		SemP(sem),
 	}}, 0)
 	h := os.Spawn("H", 0, true, &seqProgram{actions: []Action{
-		{Kind: ActWaitIO, Port: 7}, computeAction(100), computeAction(100),
-		{Kind: ActWaitIO, Port: 7},
+		WaitIO(7), computeAction(100), computeAction(100),
+		WaitIO(7),
 	}}, 0)
 	if got := strings.Join(w.calls, " "); got != "wake0 wake0 wake0" {
 		t.Fatalf("spawn calls %q, want three wakes", got)
@@ -528,5 +530,18 @@ func TestRunQueueOrderAfterBurstDone(t *testing.T) {
 	}
 	if a.State() != Spinning || c.State() != BlockedSem || h.State() != BlockedIO {
 		t.Errorf("final states A=%v C=%v H=%v, want spinning, blocked-sem, blocked-io", a.State(), c.State(), h.State())
+	}
+}
+
+// TestActionFitsInRegisters pins Action at four fields and four words:
+// the compiler keeps a struct that small in registers across the
+// Program.Next interface call, and spills a larger one to the stack and
+// copies it back on every action.
+func TestActionFitsInRegisters(t *testing.T) {
+	if n := reflect.TypeOf(Action{}).NumField(); n > 4 {
+		t.Errorf("Action has %d fields, want at most 4", n)
+	}
+	if size, word := unsafe.Sizeof(Action{}), unsafe.Sizeof(uintptr(0)); size > 4*word {
+		t.Errorf("Action is %d bytes, want at most 4 words (%d bytes)", size, 4*word)
 	}
 }

@@ -173,24 +173,24 @@ func (p *PhasedProgram) Next(t *guest.Thread, now sim.Time) guest.Action {
 		if p.Srv.Pending() > 0 {
 			p.arrived = p.Srv.Take()
 			p.serving = true
-			return guest.Action{Kind: guest.ActCompute, Work: ph.Service, Prof: &ph.Prof}
+			return guest.Compute(ph.Service, &ph.Prof)
 		}
-		return guest.Action{Kind: guest.ActWaitIO, Port: p.Srv.Port}
+		return guest.WaitIO(p.Srv.Port)
 	}
 	// Compute phase: a CPUBound-style job stream with occasional
 	// housekeeping pauses (the pause also re-reads the clock, so a
 	// compute phase can never pin the thread past a flip for long).
 	if p.sleeping {
 		p.sleeping = false
-		return guest.Action{Kind: guest.ActCompute, Work: ph.JobWork, Prof: &ph.Prof}
+		return guest.Compute(ph.JobWork, &ph.Prof)
 	}
 	t.Jobs++
 	p.count++
 	if p.JobSleep > 0 && p.SleepEveryJobs > 0 && p.count%p.SleepEveryJobs == 0 {
 		p.sleeping = true
-		return guest.Action{Kind: guest.ActSleep, Dur: p.JobSleep}
+		return guest.Sleep(p.JobSleep)
 	}
-	return guest.Action{Kind: guest.ActCompute, Work: ph.JobWork, Prof: &ph.Prof}
+	return guest.Compute(ph.JobWork, &ph.Prof)
 }
 
 // SynthesizePhases draws one behaviour leg per phase definition from

@@ -68,18 +68,18 @@ func NewCPUBound(prof cache.Profile, jobWork sim.Time) *CPUBound {
 func (c *CPUBound) Next(t *guest.Thread, now sim.Time) guest.Action {
 	if c.sleeping {
 		c.sleeping = false
-		return guest.Action{Kind: guest.ActCompute, Work: c.JobWork, Prof: &c.Prof}
+		return guest.Compute(c.JobWork, &c.Prof)
 	}
 	if c.started {
 		t.Jobs++
 		c.count++
 		if c.JobSleep > 0 && c.SleepEveryJobs > 0 && c.count%c.SleepEveryJobs == 0 {
 			c.sleeping = true
-			return guest.Action{Kind: guest.ActSleep, Dur: c.JobSleep}
+			return guest.Sleep(c.JobSleep)
 		}
 	}
 	c.started = true
-	return guest.Action{Kind: guest.ActCompute, Work: c.JobWork, Prof: &c.Prof}
+	return guest.Compute(c.JobWork, &c.Prof)
 }
 
 // LockWorker is one thread of a concurrent application synchronizing
@@ -153,13 +153,13 @@ func (w *LockWorker) Next(t *guest.Thread, now sim.Time) guest.Action {
 	switch w.state {
 	case lwGap:
 		w.state = lwAcquire
-		return guest.Action{Kind: guest.ActCompute, Work: w.jitteredGap(), Prof: &w.Prof}
+		return guest.Compute(w.jitteredGap(), &w.Prof)
 	case lwAcquire:
 		w.state = lwCritical
-		return guest.Action{Kind: guest.ActAcquire, Lock: w.Lock}
+		return guest.Acquire(w.Lock)
 	case lwCritical:
 		w.state = lwRelease
-		return guest.Action{Kind: guest.ActCompute, Work: w.Hold, Prof: &criticalProfile}
+		return guest.Compute(w.Hold, &criticalProfile)
 	case lwRelease:
 		w.cycles++
 		t.Jobs++
@@ -168,13 +168,13 @@ func (w *LockWorker) Next(t *guest.Thread, now sim.Time) guest.Action {
 		} else {
 			w.state = lwGap
 		}
-		return guest.Action{Kind: guest.ActRelease, Lock: w.Lock}
+		return guest.Release(w.Lock)
 	case lwSignal:
 		w.state = lwWait
-		return guest.Action{Kind: guest.ActSemV, Sem: w.NextSem}
+		return guest.SemV(w.NextSem)
 	default: // lwWait
 		w.state = lwGap
-		return guest.Action{Kind: guest.ActSemP, Sem: w.PrevSem}
+		return guest.SemP(w.PrevSem)
 	}
 }
 
@@ -200,16 +200,16 @@ func (h *Handler) Next(t *guest.Thread, now sim.Time) guest.Action {
 	switch h.state {
 	case 0:
 		h.state = 1
-		return guest.Action{Kind: guest.ActWaitIO, Port: h.Srv.Port}
+		return guest.WaitIO(h.Srv.Port)
 	case 1:
 		h.arrived = h.Srv.Take()
 		h.state = 2
-		return guest.Action{Kind: guest.ActCompute, Work: h.Service, Prof: &h.Prof}
+		return guest.Compute(h.Service, &h.Prof)
 	default:
 		h.Srv.Complete(h.arrived, now)
 		t.Jobs++
 		h.state = 1
-		return guest.Action{Kind: guest.ActWaitIO, Port: h.Srv.Port}
+		return guest.WaitIO(h.Srv.Port)
 	}
 }
 
@@ -226,9 +226,9 @@ type Sleeper struct {
 func (s *Sleeper) Next(t *guest.Thread, now sim.Time) guest.Action {
 	if s.state == 0 {
 		s.state = 1
-		return guest.Action{Kind: guest.ActCompute, Work: s.Work, Prof: &s.Prof}
+		return guest.Compute(s.Work, &s.Prof)
 	}
 	s.state = 0
 	t.Jobs++
-	return guest.Action{Kind: guest.ActSleep, Dur: s.Sleep}
+	return guest.Sleep(s.Sleep)
 }

@@ -62,7 +62,7 @@ func (b *burnProgram) Next(t *guest.Thread, now sim.Time) guest.Action {
 		t.Jobs++
 	}
 	b.started = true
-	return guest.Action{Kind: guest.ActCompute, Work: b.job, Prof: &b.prof}
+	return guest.Compute(b.job, &b.prof)
 }
 
 // Test programs point at their own profile field or at one of these, so
@@ -137,10 +137,10 @@ func TestIdleVCPUBlocksAndMachineGoesQuiet(t *testing.T) {
 	done := false
 	prog := guest.ProgramFunc(func(th *guest.Thread, now sim.Time) guest.Action {
 		if done {
-			return guest.Action{Kind: guest.ActExit}
+			return guest.Exit()
 		}
 		done = true
-		return guest.Action{Kind: guest.ActCompute, Work: 5 * sim.Millisecond, Prof: &smallProfile}
+		return guest.Compute(5*sim.Millisecond, &smallProfile)
 	})
 	d.OS.Spawn("once", 0, false, prog, 0)
 	h.Run(1 * sim.Second)
@@ -185,14 +185,14 @@ func (e *ioEcho) Next(t *guest.Thread, now sim.Time) guest.Action {
 	switch e.state {
 	case 0:
 		e.state = 1
-		return guest.Action{Kind: guest.ActWaitIO, Port: 7}
+		return guest.WaitIO(7)
 	case 1:
 		e.state = 2
-		return guest.Action{Kind: guest.ActCompute, Work: 100 * sim.Microsecond, Prof: &tinyProfile}
+		return guest.Compute(100*sim.Microsecond, &tinyProfile)
 	default:
 		*e.served = append(*e.served, now)
 		e.state = 1
-		return guest.Action{Kind: guest.ActWaitIO, Port: 7}
+		return guest.WaitIO(7)
 	}
 }
 
@@ -222,14 +222,14 @@ func (l *lockHog) Next(t *guest.Thread, now sim.Time) guest.Action {
 	switch l.state {
 	case 0:
 		l.state = 1
-		return guest.Action{Kind: guest.ActAcquire, Lock: l.lock}
+		return guest.Acquire(l.lock)
 	case 1:
 		l.state = 2
-		return guest.Action{Kind: guest.ActCompute, Work: l.hold, Prof: &tinyProfile}
+		return guest.Compute(l.hold, &tinyProfile)
 	default:
 		l.state = 0
 		t.Jobs++
-		return guest.Action{Kind: guest.ActRelease, Lock: l.lock}
+		return guest.Release(l.lock)
 	}
 }
 

@@ -53,7 +53,7 @@ func TestDestroyDomainIsIdempotentAndSafeWhileBlocked(t *testing.T) {
 	d := h.CreateDomain("vm", 0, 0, 1)
 	// A sleeper that is blocked most of the time.
 	prog := guest.ProgramFunc(func(th *guest.Thread, now sim.Time) guest.Action {
-		return guest.Action{Kind: guest.ActSleep, Dur: 10 * sim.Millisecond}
+		return guest.Sleep(10 * sim.Millisecond)
 	})
 	d.OS.Spawn("sleepy", 0, false, prog, 0)
 	h.Engine.After(25*sim.Millisecond, func(now sim.Time) {
