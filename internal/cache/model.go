@@ -138,9 +138,10 @@ type coreState struct {
 
 // Model is the machine-wide cache/performance model.
 type Model struct {
-	topo    *hw.Topology
-	sockets []socketLLC
-	cores   []coreState
+	topo     *hw.Topology
+	sockets  []socketLLC
+	cores    []coreState
+	socketOf []hw.SocketID // per core: Topology.SocketOf without a division
 
 	llcSize  float64
 	capBytes float64 // max residency a single footprint may hold
@@ -160,13 +161,16 @@ func NewModel(topo *hw.Topology) *Model {
 	// class's private cache. On homogeneous machines every entry equals
 	// topo.L2.Size, so the burst arithmetic is unchanged bit for bit.
 	l2Size := make([]int64, topo.TotalPCPUs())
+	socketOf := make([]hw.SocketID, topo.TotalPCPUs())
 	for p := range l2Size {
 		l2Size[p] = topo.L2Of(hw.PCPUID(p)).Size
+		socketOf[p] = topo.SocketOf(hw.PCPUID(p))
 	}
 	return &Model{
 		topo:     topo,
 		sockets:  make([]socketLLC, topo.Sockets),
 		cores:    make([]coreState, topo.TotalPCPUs()),
+		socketOf: socketOf,
 		llcSize:  float64(topo.LLC.Size),
 		capBytes: 0.95 * float64(topo.LLC.Size),
 		missCost: memLatUs - llcLatUs,
@@ -178,12 +182,14 @@ func NewModel(topo *hw.Topology) *Model {
 // Inserted reports the insertion clock of a socket (tests/diagnostics).
 func (m *Model) Inserted(s hw.SocketID) float64 { return m.sockets[s].inserted }
 
-// Uninsert rolls back bytes previously inserted into socket s's LLC.
-// The hypervisor uses it when a planned burst is preempted mid-way: the
-// burst is rolled back and re-run with the actually elapsed budget.
-// Because the insertion clock is additive, removing exactly this burst's
-// contribution leaves co-runners' insertions intact.
-func (m *Model) Uninsert(s hw.SocketID, bytes float64) {
+// Uninsert rolls back bytes that a burst on core previously inserted
+// into its socket's LLC. The hypervisor uses it when a planned burst is
+// preempted mid-way: the burst is rolled back and re-run with the
+// actually elapsed budget. Because the insertion clock is additive,
+// removing exactly this burst's contribution leaves co-runners'
+// insertions intact.
+func (m *Model) Uninsert(core hw.PCPUID, bytes float64) {
+	s := m.socketOf[core]
 	m.sockets[s].inserted -= bytes
 	if m.sockets[s].inserted < 0 {
 		m.sockets[s].inserted = 0
@@ -207,8 +213,10 @@ func (m *Model) decay(fp *Footprint, s hw.SocketID) {
 		fp.mark = m.sockets[s].inserted
 		return
 	}
+	// An empty footprint stays empty (0*x == 0), so it skips the Exp:
+	// threads that never take the cached branch never build one.
 	delta := m.sockets[s].inserted - fp.mark
-	if delta > 0 {
+	if delta > 0 && fp.resident != 0 {
 		fp.resident *= math.Exp(-delta / m.llcSize)
 	}
 	fp.mark = m.sockets[s].inserted
@@ -229,7 +237,7 @@ func (m *Model) Run(fp *Footprint, core hw.PCPUID, prof *Profile, work, budget s
 	if work <= 0 || budget <= 0 {
 		panic(fmt.Sprintf("cache: Run(work=%v, budget=%v)", work, budget))
 	}
-	s := m.topo.SocketOf(core)
+	s := m.socketOf[core]
 	m.decay(fp, s)
 
 	*res = BurstResult{}

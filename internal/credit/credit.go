@@ -72,8 +72,11 @@ func sd(v *xen.VCPU) *data { return v.SD.(*data) }
 
 // Scheduler is the Credit policy. One instance serves all pools.
 type Scheduler struct {
-	h     *xen.Hypervisor
-	runq  map[hw.PCPUID][]*xen.VCPU
+	h *xen.Hypervisor
+	// runq is indexed by hw.PCPUID (sized in Attach): every enqueue,
+	// dequeue and pick touches it, and map access was a measurable
+	// share of simulation time.
+	runq  [][]*xen.VCPU
 	vcpus []*xen.VCPU
 
 	// BoostEnabled mirrors Xen's BOOST; some calibration/baseline runs
@@ -85,7 +88,7 @@ type Scheduler struct {
 
 // New returns a Credit scheduler with BOOST enabled.
 func New() *Scheduler {
-	return &Scheduler{runq: make(map[hw.PCPUID][]*xen.VCPU), BoostEnabled: true}
+	return &Scheduler{BoostEnabled: true}
 }
 
 // Name implements xen.Scheduler.
@@ -94,6 +97,7 @@ func (s *Scheduler) Name() string { return "credit" }
 // Attach implements xen.Scheduler and starts the accounting tick.
 func (s *Scheduler) Attach(h *xen.Hypervisor) {
 	s.h = h
+	s.runq = make([][]*xen.VCPU, h.Topo.TotalPCPUs())
 	var acct func(now sim.Time)
 	acct = func(now sim.Time) {
 		s.account(now)

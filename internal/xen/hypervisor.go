@@ -204,9 +204,10 @@ func (h *Hypervisor) getBurst() *burst {
 }
 
 // putBurst recycles a finished burst. The caller must have dropped every
-// reference to it.
+// reference to it. The burst is not cleared: runBurstWithOverhead writes
+// every field a burst of its kind is read for.
 func (h *Hypervisor) putBurst(b *burst) {
-	*b = burst{next: h.burstFree}
+	b.next = h.burstFree
 	h.burstFree = b
 }
 
@@ -492,7 +493,7 @@ func (h *Hypervisor) settleBurst(v *VCPU, b *burst, now sim.Time) {
 	}
 	// Roll back the planned burst...
 	b.thread.FP = b.fpBefore
-	h.Cache.Uninsert(h.Topo.SocketOf(v.pcpu), b.planned.InsertedBytes)
+	h.Cache.Uninsert(v.pcpu, b.planned.InsertedBytes)
 	h.Cache.SetCoreOccupant(v.pcpu, b.coreWas)
 	if elapsed <= 0 {
 		return // preempted during the context-switch window: no progress
