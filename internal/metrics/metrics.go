@@ -7,7 +7,7 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"aqlsched/internal/sim"
 )
@@ -52,6 +52,7 @@ func (h *Histogram) Count() int { return len(h.samples) }
 // Merge folds another histogram's samples into h (app-level percentiles
 // pool the request latencies of every VM instance and server).
 func (h *Histogram) Merge(o *Histogram) {
+	h.samples = slices.Grow(h.samples, len(o.samples))
 	for _, d := range o.samples {
 		h.Record(d)
 	}
@@ -80,7 +81,7 @@ func (h *Histogram) Percentile(p float64) sim.Time {
 	}
 	if h.dirty || len(h.sorted) != len(h.samples) {
 		h.sorted = append(h.sorted[:0], h.samples...)
-		sort.Slice(h.sorted, func(i, j int) bool { return h.sorted[i] < h.sorted[j] })
+		slices.Sort(h.sorted)
 		h.dirty = false
 	}
 	cp := h.sorted
