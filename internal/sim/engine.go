@@ -88,11 +88,11 @@ func entryLess(a, b heapEntry) bool {
 // detected.
 type slot struct {
 	fn    EventFunc
-	timer *Timer
 	at    Time
 	gen   uint32
 	heap  int32 // index into Engine.heap, inFront, or notPending
 	next  int32 // free-list link, meaningful only when free
+	timer bool  // a Timer's slot: stays bound when its occurrence fires
 }
 
 // Values of slot.heap for a slot outside the heap.
@@ -163,19 +163,20 @@ func (e *Engine) allocSlot() int32 {
 	return int32(len(e.slots) - 1)
 }
 
-// bindSlot allocates a slot and binds fn (and its timer, if any) to it.
-func (e *Engine) bindSlot(fn EventFunc, t *Timer) int32 {
+// bindSlot allocates a slot and binds fn to it, for a Timer or for one
+// event.
+func (e *Engine) bindSlot(fn EventFunc, timer bool) int32 {
 	i := e.allocSlot()
 	s := &e.slots[i]
 	s.fn = fn
-	s.timer = t
+	s.timer = timer
 	return i
 }
 
 func (e *Engine) freeSlot(i int32) {
 	s := &e.slots[i]
 	s.fn = nil
-	s.timer = nil
+	s.timer = false
 	s.gen++
 	s.heap = notPending
 	s.next = e.free
@@ -309,7 +310,7 @@ func (e *Engine) popMin() heapEntry {
 // At schedules fn to run at the absolute time at. Scheduling in the past
 // (before Now) panics: that is always a simulation bug.
 func (e *Engine) At(at Time, fn EventFunc) Event {
-	i := e.bindSlot(fn, nil)
+	i := e.bindSlot(fn, false)
 	e.schedule(at, i)
 	return Event{slot: i, gen: e.slots[i].gen}
 }
@@ -359,7 +360,7 @@ func (e *Engine) Step() bool {
 	}
 	s := &e.slots[en.slot]
 	fn := s.fn
-	if s.timer != nil {
+	if s.timer {
 		// The timer keeps its slot for the next Arm.
 		s.heap = notPending
 	} else {
@@ -445,7 +446,7 @@ func (t *Timer) Arm(at Time) {
 	e := t.e
 	switch {
 	case t.slot < 0:
-		t.slot = e.bindSlot(t.fn, t)
+		t.slot = e.bindSlot(t.fn, true)
 	case e.slots[t.slot].heap != notPending:
 		e.unschedule(t.slot)
 	}
