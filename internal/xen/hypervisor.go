@@ -204,9 +204,11 @@ func (h *Hypervisor) getBurst() *burst {
 }
 
 // putBurst recycles a finished burst. The caller must have dropped every
-// reference to it. The burst is not cleared: runBurstWithOverhead writes
-// every field a burst of its kind is read for.
+// reference to it. Only its pointers are cleared, so a recycled burst
+// keeps no destroyed domain's thread alive; runBurstWithOverhead writes
+// every other field a burst of its kind is read for.
 func (h *Hypervisor) putBurst(b *burst) {
+	b.thread, b.prof, b.coreWas = nil, nil, nil
 	b.next = h.burstFree
 	h.burstFree = b
 }
