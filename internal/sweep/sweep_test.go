@@ -138,6 +138,41 @@ func TestSweepAggregates(t *testing.T) {
 	}
 }
 
+// TestHeteroAQLFallbackExposesController: on a homogeneous machine
+// hetero-aql runs the plain AQL controller. The run must expose it like
+// an aql run does, and without KeepRaw it must release the hypervisor
+// and monitoring history the controller anchors.
+func TestHeteroAQLFallbackExposesController(t *testing.T) {
+	spec, err := (&File{
+		Name:      "hetero-fallback",
+		Scenarios: refs("S2"),
+		Policies:  pols("hetero-aql"),
+		WarmupMS:  400,
+		MeasureMS: 900,
+	}).Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Exec(spec, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := res.RunFor("S2", "hetero-aql", 0)
+	if rr == nil || rr.Err != nil {
+		t.Fatalf("hetero-aql run missing or failed: %+v", rr)
+	}
+	ctl := rr.Controller()
+	if ctl == nil {
+		t.Fatal("hetero-aql fallback run exposes no controller")
+	}
+	if ctl.LastPlan == nil {
+		t.Error("hetero-aql fallback controller never applied a cluster layout")
+	}
+	if ctl.H != nil || ctl.Monitor != nil {
+		t.Error("hetero-aql run keeps its hypervisor or monitor reachable without KeepRaw")
+	}
+}
+
 // TestSweepExpand checks the matrix shape and ordering invariants the
 // aggregator indexes by.
 func TestSweepExpand(t *testing.T) {
