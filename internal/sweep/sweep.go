@@ -21,7 +21,6 @@ import (
 	"sync"
 	"time"
 
-	"aqlsched/internal/baselines"
 	"aqlsched/internal/catalog"
 	"aqlsched/internal/core"
 	"aqlsched/internal/fleet"
@@ -213,10 +212,10 @@ type RunResult struct {
 }
 
 // Controller returns the AQL controller captured by this run's policy,
-// or nil when the policy was not AQL (or never produced one).
+// or nil when the policy runs none (or never produced one).
 func (rr *RunResult) Controller() *core.Controller {
-	if a, ok := rr.Instance.(baselines.AQL); ok && a.Out != nil {
-		return *a.Out
+	if cp, ok := rr.Instance.(scenario.ControllerProvider); ok {
+		return cp.AQLController()
 	}
 	return nil
 }
