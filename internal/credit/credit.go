@@ -78,21 +78,10 @@ type Scheduler struct {
 	// share of simulation time.
 	runq  [][]*xen.VCPU
 	vcpus []*xen.VCPU
-
-	// BoostEnabled mirrors Xen's BOOST; some calibration/baseline runs
-	// disable it.
-	BoostEnabled bool
-
-	acctEvents uint64
 }
 
 // New returns a Credit scheduler with BOOST enabled.
-func New() *Scheduler {
-	return &Scheduler{BoostEnabled: true}
-}
-
-// Name implements xen.Scheduler.
-func (s *Scheduler) Name() string { return "credit" }
+func New() *Scheduler { return &Scheduler{} }
 
 // Attach implements xen.Scheduler and starts the accounting tick.
 func (s *Scheduler) Attach(h *xen.Hypervisor) {
@@ -146,7 +135,6 @@ func (s *Scheduler) burnUpTo(v *xen.VCPU, now sim.Time) {
 
 // account mints and distributes credits (every 30 ms).
 func (s *Scheduler) account(now sim.Time) {
-	s.acctEvents++
 	// Charge running vCPUs for time elapsed since their watermark, so
 	// long slices burn credit across period boundaries.
 	for _, v := range s.vcpus {
@@ -273,7 +261,7 @@ func (s *Scheduler) dequeue(v *xen.VCPU) {
 func (s *Scheduler) Wake(v *xen.VCPU, now sim.Time) {
 	c := sd(v)
 	boosted := false
-	if s.BoostEnabled && c.prio <= prioUnder {
+	if c.prio <= prioUnder {
 		c.prio = prioBoost
 		boosted = true
 	}

@@ -16,7 +16,6 @@ type fifoSched struct {
 	q []*VCPU
 }
 
-func (s *fifoSched) Name() string            { return "fifo" }
 func (s *fifoSched) Attach(h *Hypervisor)    { s.h = h }
 func (s *fifoSched) AddVCPU(*VCPU, sim.Time) {}
 func (s *fifoSched) RemoveVCPU(v *VCPU, now sim.Time) {

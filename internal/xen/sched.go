@@ -27,8 +27,6 @@ const DefaultSlice = 30 * sim.Millisecond
 // Scheduler is the pluggable policy deciding which vCPU runs where.
 // A single instance serves all CPU pools of a hypervisor.
 type Scheduler interface {
-	// Name identifies the policy in reports.
-	Name() string
 	// Attach wires the scheduler to its hypervisor. Called exactly once,
 	// before any other method; the scheduler may register periodic
 	// accounting events on h.Engine.
