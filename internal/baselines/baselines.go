@@ -69,37 +69,23 @@ func Microsliced() FixedQuantum {
 	return FixedQuantum{Q: 1 * sim.Millisecond, N: "microsliced"}
 }
 
-// VTurbo is [14]: dedicate TurboPCPUs cores as a turbo pool with a
-// small quantum and pin the (manually identified) IO-intensive vCPUs to
-// it; everything else shares the remaining cores at the default
-// quantum.
-type VTurbo struct {
-	// TurboPCPUs is how many cores the turbo pool takes (default 1).
-	TurboPCPUs int
-	// Q is the turbo quantum (default 1 ms, the paper's comparison
-	// configuration).
-	Q sim.Time
-}
+// VTurbo is [14]: dedicate one core as a turbo pool with a 1 ms
+// quantum (the paper's comparison configuration) and pin the (manually
+// identified) IO-intensive vCPUs to it; everything else shares the
+// remaining cores at the default quantum.
+type VTurbo struct{}
 
 // Name implements the scenario policy interface.
 func (VTurbo) Name() string { return "vturbo" }
 
 // Setup implements the scenario policy interface.
-func (v VTurbo) Setup(h *xen.Hypervisor, deps []*workload.Deployment) {
-	n := v.TurboPCPUs
-	if n <= 0 {
-		n = 1
-	}
-	q := v.Q
-	if q <= 0 {
-		q = 1 * sim.Millisecond
-	}
+func (VTurbo) Setup(h *xen.Hypervisor, deps []*workload.Deployment) {
 	guest := h.GuestPCPUs()
-	if n >= len(guest) {
+	if len(guest) < 2 {
 		panic("baselines: vTurbo would take every pCPU")
 	}
-	turbo := xen.NewCPUPool("turbo", q, guest[:n])
-	normal := xen.NewCPUPool("normal", xen.DefaultSlice, guest[n:])
+	turbo := xen.NewCPUPool("turbo", 1*sim.Millisecond, guest[:1])
+	normal := xen.NewCPUPool("normal", xen.DefaultSlice, guest[1:])
 	plan := &xen.PoolPlan{Pools: []*xen.CPUPool{turbo, normal}, Assign: map[*xen.VCPU]*xen.CPUPool{}}
 	io := ioVCPUs(deps)
 	for _, vc := range h.AllVCPUs() {
@@ -116,26 +102,19 @@ func (v VTurbo) Setup(h *xen.Hypervisor, deps []*workload.Deployment) {
 
 // VSlicer is [15]: latency-sensitive vCPUs are sliced at a smaller
 // quantum (differentiated-frequency CPU slicing) but share the same
-// pools as everyone else.
-type VSlicer struct {
-	// MicroSlice is the latency-sensitive slice (default 5 ms, the
-	// vSlicer paper's micro time-slice).
-	MicroSlice sim.Time
-}
+// pools as everyone else. The micro-slice is 5 ms, the vSlicer paper's
+// micro time-slice and the paper's comparison configuration.
+type VSlicer struct{}
 
 // Name implements the scenario policy interface.
 func (VSlicer) Name() string { return "vslicer" }
 
 // Setup implements the scenario policy interface.
-func (v VSlicer) Setup(h *xen.Hypervisor, deps []*workload.Deployment) {
-	q := v.MicroSlice
-	if q <= 0 {
-		q = 5 * sim.Millisecond
-	}
+func (VSlicer) Setup(h *xen.Hypervisor, deps []*workload.Deployment) {
 	io := ioVCPUs(deps)
 	for _, vc := range h.AllVCPUs() {
 		if io[vc] {
-			vc.SliceOverride = q
+			vc.SliceOverride = 5 * sim.Millisecond
 		}
 	}
 }

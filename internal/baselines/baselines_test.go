@@ -2,9 +2,11 @@ package baselines_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"aqlsched/internal/baselines"
+	"aqlsched/internal/hw"
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/sim"
 )
@@ -106,12 +108,16 @@ func TestMicroslicedHelpsIOHurtsLLCF(t *testing.T) {
 }
 
 // TestVTurboRefusesToTakeEveryCore documents the guard against a turbo
-// pool that would starve the normal pool.
+// pool that would starve the normal pool: on one guest pCPU the turbo
+// core would be the whole machine.
 func TestVTurboRefusesToTakeEveryCore(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Error("vTurbo with TurboPCPUs >= all guest pCPUs did not panic")
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "vTurbo") {
+			t.Errorf("recover() = %v, want the vTurbo guard's panic", r)
 		}
 	}()
-	scenario.Run(s5(1), baselines.VTurbo{TurboPCPUs: 4})
+	spec := s5(1)
+	spec.GuestPCPUs = []hw.PCPUID{0}
+	scenario.Run(spec, baselines.VTurbo{})
 }
