@@ -124,11 +124,7 @@ func (m *Manifest) Rebuild() (*Spec, error) {
 	return spec, nil
 }
 
-// FingerprintSpec fingerprints raw spec-file bytes.
-func FingerprintSpec(data []byte) string {
-	return fingerprint(data)
-}
-
+// fingerprint hashes raw spec-file bytes.
 func fingerprint(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])

@@ -37,7 +37,7 @@ func render(t *testing.T, res *Result) (string, string) {
 func TestJournalResumeByteIdentical(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "quick.journal")
 	spec := journalSpec(t)
-	fp := FingerprintSpec([]byte(fleetSpecJSON))
+	fp := fingerprint([]byte(fleetSpecJSON))
 	j1, err := CreateJournal(dir, Manifest{Name: spec.Name, Fingerprint: fp, Runs: len(spec.Runs())})
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 func TestJournalWriteFailureFailsRun(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "j")
 	spec := journalSpec(t)
-	jl, err := CreateJournal(dir, Manifest{Name: spec.Name, Fingerprint: FingerprintSpec([]byte(fleetSpecJSON)), Runs: len(spec.Runs())})
+	jl, err := CreateJournal(dir, Manifest{Name: spec.Name, Fingerprint: fingerprint([]byte(fleetSpecJSON)), Runs: len(spec.Runs())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestJournalWriteFailureFailsRun(t *testing.T) {
 func TestManifestSpecBytesRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "j")
 	src := "{\n\t\"oddly\": \"formatted\"\n}\n"
-	if _, err := CreateJournal(dir, Manifest{Name: "rt", Fingerprint: FingerprintSpec([]byte(src)), SpecJSON: src, Runs: 1}); err != nil {
+	if _, err := CreateJournal(dir, Manifest{Name: "rt", Fingerprint: fingerprint([]byte(src)), SpecJSON: src, Runs: 1}); err != nil {
 		t.Fatal(err)
 	}
 	_, m, err := OpenJournal(dir)
@@ -126,7 +126,7 @@ func TestManifestSpecBytesRoundTrip(t *testing.T) {
 	if m.SpecJSON != src {
 		t.Errorf("spec bytes mangled by the manifest round trip:\nwrote %q\nread  %q", src, m.SpecJSON)
 	}
-	if FingerprintSpec([]byte(m.SpecJSON)) != m.Fingerprint {
+	if fingerprint([]byte(m.SpecJSON)) != m.Fingerprint {
 		t.Error("fingerprint no longer matches the restored spec bytes")
 	}
 }
@@ -143,10 +143,10 @@ func TestManifestRebuildRejectsHugeMatrix(t *testing.T) {
 
 func TestJournalRejectsForeignSpec(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "j")
-	if _, err := CreateJournal(dir, Manifest{Name: "a", Fingerprint: FingerprintSpec([]byte("spec-a")), Runs: 4}); err != nil {
+	if _, err := CreateJournal(dir, Manifest{Name: "a", Fingerprint: fingerprint([]byte("spec-a")), Runs: 4}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := CreateJournal(dir, Manifest{Name: "b", Fingerprint: FingerprintSpec([]byte("spec-b")), Runs: 4})
+	_, err := CreateJournal(dir, Manifest{Name: "b", Fingerprint: fingerprint([]byte("spec-b")), Runs: 4})
 	if err == nil || !strings.Contains(err.Error(), "belongs to another spec") {
 		t.Fatalf("journal reuse across specs not rejected: %v", err)
 	}
