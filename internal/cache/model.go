@@ -59,9 +59,6 @@ type Profile struct {
 	Streaming bool
 	// StreamMissRatio is the constant miss ratio for streaming sets.
 	StreamMissRatio float64
-	// InstrPerUs is the nominal instruction rate per ideal microsecond;
-	// zero means DefaultInstrPerUs. Only counter synthesis uses it.
-	InstrPerUs float64
 	// ReuseFactor models in-window temporal locality for the PMU
 	// reference counter: each line brought into the LLC is re-referenced
 	// (ReuseFactor - 1) additional times, so the reported LLC reference
@@ -72,17 +69,9 @@ type Profile struct {
 	ReuseFactor float64
 }
 
-// DefaultInstrPerUs is the nominal retirement rate used when a profile
-// does not specify one (one instruction per nanosecond of ideal time).
+// DefaultInstrPerUs is the nominal retirement rate of every burst (one
+// instruction per nanosecond of ideal time).
 const DefaultInstrPerUs = 1000.0
-
-// instrRate returns the profile's instruction rate.
-func (p *Profile) instrRate() float64 {
-	if p.InstrPerUs > 0 {
-		return p.InstrPerUs
-	}
-	return DefaultInstrPerUs
-}
 
 // reuse returns the profile's reference reuse factor.
 func (p *Profile) reuse() float64 {
@@ -296,7 +285,7 @@ func (m *Model) Run(fp *Footprint, core hw.PCPUID, prof *Profile, work, budget s
 		res.Ideal = work
 	}
 	res.Counters = hw.Counters{
-		Instructions:  uint64(idealDone * prof.instrRate()),
+		Instructions:  uint64(idealDone * DefaultInstrPerUs),
 		LLCReferences: uint64(refsF * prof.reuse()),
 		LLCMisses:     uint64(misses),
 	}

@@ -175,7 +175,7 @@ func runWithLegacySolver(m *Model, fp *Footprint, core hw.PCPUID, prof Profile, 
 		res.Ideal = work
 	}
 	res.Counters = hw.Counters{
-		Instructions:  uint64(idealDone * prof.instrRate()),
+		Instructions:  uint64(idealDone * DefaultInstrPerUs),
 		LLCReferences: uint64(refsF * prof.reuse()),
 		LLCMisses:     uint64(misses),
 	}

@@ -53,7 +53,6 @@ type AdaptationRow struct {
 // AdaptationResult is the executed experiment.
 type AdaptationResult struct {
 	Rows []AdaptationRow
-	Res  *sweep.Result
 }
 
 // Adaptation runs the window sweep and folds the per-cell adaptation
@@ -61,7 +60,7 @@ type AdaptationResult struct {
 func Adaptation(cfg Config) *AdaptationResult {
 	sp := AdaptationSweep(cfg)
 	res := mustSweep(sp, sweep.Options{})
-	out := &AdaptationResult{Res: res}
+	out := &AdaptationResult{}
 	for i, n := range AdaptationWindows {
 		cell := res.Cell("dynphase", sp.Policies[i].Name)
 		// adapt_match_frac is recorded by every adaptive run, so its

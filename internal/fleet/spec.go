@@ -127,8 +127,6 @@ type Spec struct {
 	// Mix weights the generated VM types (required unless Explicit is
 	// set).
 	Mix map[string]float64 `json:"mix,omitempty"`
-	// Gen bounds the per-type knob draws (nil = workload defaults).
-	Gen *workload.GenConfig `json:"-"`
 	// Churn adds Poisson VM arrivals with exponential lifetimes, drawn
 	// from GenSeed exactly like the scenario generator's churn.
 	Churn *scenario.ChurnSpec `json:"churn,omitempty"`
@@ -273,12 +271,8 @@ func (s *Spec) GenVMs() ([]VMSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := workload.DefaultGenConfig()
-	if sp.Gen != nil {
-		cfg = *sp.Gen
-	}
 	topo := *sp.Topo // drawers size working sets off a private copy
-	md := scenario.NewMixDrawer(mix, cfg, &topo)
+	md := scenario.NewMixDrawer(mix, &topo)
 
 	// Tenant weights, cumulative in declaration order.
 	var tcum []float64

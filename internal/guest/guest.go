@@ -1,6 +1,5 @@
 // Package guest models the guest operating system inside a VM: threads,
-// per-vCPU run queues, interrupt handlers, spin-locks and blocking
-// semaphores.
+// per-vCPU run queues, interrupt handlers and spin-locks.
 //
 // The paper's framing (Section 3.1) is that "a vCPU type at a given
 // instant is the type of the thread using the vCPU at that instant", and
@@ -42,8 +41,6 @@ const (
 	Spinning
 	// BlockedIO: waiting for an event-channel notification.
 	BlockedIO
-	// BlockedSem: waiting on a semaphore.
-	BlockedSem
 	// Sleeping: waiting for a timer.
 	Sleeping
 	// Dead: exited.
@@ -58,8 +55,6 @@ func (s ThreadState) String() string {
 		return "spinning"
 	case BlockedIO:
 		return "blocked-io"
-	case BlockedSem:
-		return "blocked-sem"
 	case Sleeping:
 		return "sleeping"
 	case Dead:
@@ -78,10 +73,6 @@ const (
 	ActAcquire
 	// ActRelease: release the spin-lock Obj.
 	ActRelease
-	// ActSemP: semaphore Obj down (block while unavailable).
-	ActSemP
-	// ActSemV: semaphore Obj up.
-	ActSemV
 	// ActWaitIO: block until an event arrives on port Arg.
 	ActWaitIO
 	// ActSleep: block for Arg.
@@ -91,7 +82,7 @@ const (
 )
 
 // Action is one instruction from a Program to the guest kernel. Build
-// one with Compute, Acquire, Release, SemP, SemV, WaitIO, Sleep or Exit.
+// one with Compute, Acquire, Release, WaitIO, Sleep or Exit.
 //
 // An Action is at most four words in at most four fields, so a
 // Program.Next result stays in registers: a larger struct is spilled to
@@ -101,11 +92,11 @@ type Action struct {
 	// Arg is the compute work (ActCompute), the sleep length (ActSleep)
 	// or the port (ActWaitIO).
 	Arg sim.Time
-	// Obj is the *cache.Profile of ActCompute, the *SpinLock of
-	// ActAcquire and ActRelease, or the *Semaphore of ActSemP and
-	// ActSemV. The program owns a profile and must not change it while
-	// the program runs: the cache model reads it at every burst of the
-	// action, and again when a preempted burst is replayed.
+	// Obj is the *cache.Profile of ActCompute or the *SpinLock of
+	// ActAcquire and ActRelease. The program owns a profile and must not
+	// change it while the program runs: the cache model reads it at
+	// every burst of the action, and again when a preempted burst is
+	// replayed.
 	Obj any
 }
 
@@ -119,12 +110,6 @@ func Acquire(l *SpinLock) Action { return Action{Kind: ActAcquire, Obj: l} }
 
 // Release releases spin-lock l.
 func Release(l *SpinLock) Action { return Action{Kind: ActRelease, Obj: l} }
-
-// SemP takes a unit of semaphore s, blocking while none is available.
-func SemP(s *Semaphore) Action { return Action{Kind: ActSemP, Obj: s} }
-
-// SemV returns a unit to semaphore s.
-func SemV(s *Semaphore) Action { return Action{Kind: ActSemV, Obj: s} }
 
 // WaitIO blocks until an event arrives on port.
 func WaitIO(port int) Action { return Action{Kind: ActWaitIO, Arg: sim.Time(port)} }

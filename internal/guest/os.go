@@ -229,26 +229,6 @@ func (os *OS) advance(t *Thread, now sim.Time) {
 			}
 			lock.release(t, now)
 			continue
-		case ActSemP:
-			sem, _ := a.Obj.(*Semaphore)
-			if sem == nil {
-				panic("guest: ActSemP without semaphore")
-			}
-			if sem.tryP(t) {
-				continue
-			}
-			t.state = BlockedSem
-			t.sliceUsed = 0
-			t.preferHead = false
-			os.dequeue(t)
-			return
-		case ActSemV:
-			sem, _ := a.Obj.(*Semaphore)
-			if sem == nil {
-				panic("guest: ActSemV without semaphore")
-			}
-			sem.v(now)
-			continue
 		case ActWaitIO:
 			port := int(a.Arg)
 			os.portOwner[port] = t.CPU

@@ -347,34 +347,6 @@ func TestReleaseByNonOwnerPanics(t *testing.T) {
 	}}, 0)
 }
 
-func TestSemaphoreBlockingAndHandoff(t *testing.T) {
-	e := sim.NewEngine()
-	os := NewOS("vm", 2, e, &mockWaker{})
-	s := NewSemaphore("s", 1)
-	a := os.Spawn("a", 0, false, &seqProgram{actions: []Action{
-		SemP(s),
-		computeAction(100),
-		SemV(s),
-	}}, 0)
-	b := os.Spawn("b", 1, false, &seqProgram{actions: []Action{
-		SemP(s),
-		computeAction(10),
-	}}, 0)
-	if b.State() != BlockedSem {
-		t.Fatalf("b state %v, want blocked-sem (no busy wait)", b.State())
-	}
-	if os.HasRunnable(1) {
-		t.Error("blocked semaphore waiter still runnable")
-	}
-	os.BurstDone(a, 100, 100) // a completes and Vs
-	if b.State() != Ready {
-		t.Errorf("b state %v, want ready after V", b.State())
-	}
-	if s.Count() != 0 {
-		t.Errorf("count %d, want 0 (unit handed to waiter)", s.Count())
-	}
-}
-
 func TestJobsCounter(t *testing.T) {
 	e := sim.NewEngine()
 	os := NewOS("vm", 1, e, &mockWaker{})
@@ -449,7 +421,6 @@ func TestRunQueueOrderAfterBurstDone(t *testing.T) {
 	w := &mockWaker{}
 	os := NewOS("vm", 1, e, w)
 	l := NewSpinLock("l")
-	sem := NewSemaphore("s", 0)
 	a := os.Spawn("A", 0, false, &seqProgram{actions: []Action{
 		computeAction(1 * ms), computeAction(2 * ms), computeAction(1 * ms),
 		Acquire(l),
@@ -459,7 +430,7 @@ func TestRunQueueOrderAfterBurstDone(t *testing.T) {
 	}}, 0)
 	c := os.Spawn("C", 0, false, &seqProgram{actions: []Action{
 		computeAction(1 * ms), Sleep(1 * ms), computeAction(1 * ms),
-		SemP(sem),
+		Exit(),
 	}}, 0)
 	h := os.Spawn("H", 0, true, &seqProgram{actions: []Action{
 		WaitIO(7), computeAction(100), computeAction(100),
@@ -510,7 +481,7 @@ func TestRunQueueOrderAfterBurstDone(t *testing.T) {
 		{"the holder rotates at its slice end",
 			func() { os.BurstDone(b, GuestSlice, 12*ms) },
 			"irq[] ready[C A B]", "", c, 1 * ms},
-		{"a blocking SemP leaves the queue",
+		{"an exiting thread leaves the queue",
 			func() { os.BurstDone(c, 1*ms, 13*ms) },
 			"irq[] ready[A B]", "", a, 0},
 	}
@@ -528,8 +499,8 @@ func TestRunQueueOrderAfterBurstDone(t *testing.T) {
 			t.Fatalf("%s: NextStep serves %v for %v, want %s for %v", st.name, s.Thread, s.Work, st.serves.Name, st.work)
 		}
 	}
-	if a.State() != Spinning || c.State() != BlockedSem || h.State() != BlockedIO {
-		t.Errorf("final states A=%v C=%v H=%v, want spinning, blocked-sem, blocked-io", a.State(), c.State(), h.State())
+	if a.State() != Spinning || c.State() != Dead || h.State() != BlockedIO {
+		t.Errorf("final states A=%v C=%v H=%v, want spinning, dead, blocked-io", a.State(), c.State(), h.State())
 	}
 }
 

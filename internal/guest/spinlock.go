@@ -138,45 +138,3 @@ func ownerName(t *Thread) string {
 	}
 	return t.Name
 }
-
-// Semaphore is a counting semaphore with blocking waiters — the paper's
-// contrast to spin-locks: a blocked thread releases its vCPU instead of
-// burning the quantum.
-type Semaphore struct {
-	Name    string
-	count   int
-	waiters []*Thread
-}
-
-// NewSemaphore returns a semaphore with the given initial count.
-func NewSemaphore(name string, initial int) *Semaphore {
-	if initial < 0 {
-		panic("guest: negative semaphore count")
-	}
-	return &Semaphore{Name: name, count: initial}
-}
-
-// Count reports the available units (tests).
-func (s *Semaphore) Count() int { return s.count }
-
-// tryP consumes a unit if available.
-func (s *Semaphore) tryP(t *Thread) bool {
-	if s.count > 0 {
-		s.count--
-		return true
-	}
-	s.waiters = append(s.waiters, t)
-	return false
-}
-
-// v releases one unit, handing it directly to the first waiter if any.
-func (s *Semaphore) v(now sim.Time) {
-	if len(s.waiters) > 0 {
-		next := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		next.state = Ready
-		next.OS.advance(next, now)
-		return
-	}
-	s.count++
-}

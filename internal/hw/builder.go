@@ -176,7 +176,7 @@ func (b TopologyBuilder) Build() (*Topology, error) {
 		CoresPerSocket: d.CoresPerSocket,
 		L1:             CacheSpec{Size: d.L1KB * KB, Ways: d.L1Ways, LineSize: d.LineSize, LatencyNS: d.L1NS},
 		L2:             CacheSpec{Size: d.L2KB * KB, Ways: d.L2Ways, LineSize: d.LineSize, LatencyNS: d.L2NS},
-		LLC:            CacheSpec{Size: int64(d.LLCMB * float64(MB)), Ways: d.LLCWays, LineSize: d.LineSize, LatencyNS: d.LLCNS, SharedLLC: true},
+		LLC:            CacheSpec{Size: int64(d.LLCMB * float64(MB)), Ways: d.LLCWays, LineSize: d.LineSize, LatencyNS: d.LLCNS},
 		MemLatencyNS:   d.MemNS,
 		MemBandwidth:   int64(d.MemGBps * float64(GB)),
 		CtxSwitchCost:  sim.Time(d.CtxSwitchUS * float64(sim.Microsecond)),

@@ -18,7 +18,7 @@ func TestBuilderDefaultsAreI73770(t *testing.T) {
 		CoresPerSocket: 8,
 		L1:             CacheSpec{Size: 32 * KB, Ways: 8, LineSize: 64, LatencyNS: 1},
 		L2:             CacheSpec{Size: 256 * KB, Ways: 8, LineSize: 64, LatencyNS: 4},
-		LLC:            CacheSpec{Size: 8 * MB, Ways: 20, LineSize: 64, LatencyNS: 12, SharedLLC: true},
+		LLC:            CacheSpec{Size: 8 * MB, Ways: 20, LineSize: 64, LatencyNS: 12},
 		MemLatencyNS:   80,
 		MemBandwidth:   12 * GB,
 		CtxSwitchCost:  3 * sim.Microsecond,
@@ -35,7 +35,7 @@ func TestBuilderXeonMatchesSection42(t *testing.T) {
 		CoresPerSocket: 4,
 		L1:             CacheSpec{Size: 32 * KB, Ways: 8, LineSize: 64, LatencyNS: 1},
 		L2:             CacheSpec{Size: 256 * KB, Ways: 8, LineSize: 64, LatencyNS: 4},
-		LLC:            CacheSpec{Size: 10 * MB, Ways: 20, LineSize: 64, LatencyNS: 14, SharedLLC: true},
+		LLC:            CacheSpec{Size: 10 * MB, Ways: 20, LineSize: 64, LatencyNS: 14},
 		MemLatencyNS:   95,
 		MemBandwidth:   10 * GB,
 		CtxSwitchCost:  3 * sim.Microsecond,

@@ -28,7 +28,6 @@ type CacheSpec struct {
 	Ways      int   // associativity
 	LineSize  int64 // bytes per line
 	LatencyNS int64 // load-to-use latency in nanoseconds
-	SharedLLC bool  // true when this level is shared per socket
 }
 
 // Topology describes the machine geometry and memory system parameters

@@ -49,24 +49,12 @@ type ControllerProvider interface {
 	AQLController() *core.Controller
 }
 
-// TypeSample is one monitoring-period observation for one VM: the
-// ground-truth type its workload was executing vs. the type the vTRS
-// had recognized for its vCPU.
-type TypeSample struct {
-	Period     int
-	At         sim.Time
-	Truth      vcputype.Type
-	Recognized vcputype.Type
-}
-
 // VMAdaptation is the per-VM adaptation record.
 type VMAdaptation struct {
 	VM  string
 	App string
 	// Dynamic marks VMs whose ground truth can change (phased apps).
 	Dynamic bool
-	// Samples is the full per-period time series (truth vs recognized).
-	Samples []TypeSample
 	// Flips counts observed ground-truth changes; RecognizedFlips how
 	// many of them the vTRS re-recognized before the next flip (or run
 	// end); LatencySum accumulates, over recognized flips, the number
@@ -272,9 +260,6 @@ func (tr *adaptTracker) sample(now sim.Time, period int) {
 		}
 		truth := d.Spec.TypeAt(now - d.DeployedAt)
 		recog := tr.ctl.Monitor.TypeOf(d.Dom.VCPUs[0])
-		vt.rec.Samples = append(vt.rec.Samples, TypeSample{
-			Period: period, At: now, Truth: truth, Recognized: recog,
-		})
 		vt.rec.Total++
 		if recog == truth {
 			vt.rec.Matched++

@@ -37,9 +37,6 @@ type GenSpec struct {
 	// Seed drives the generator's draws (types and app knobs). It is
 	// independent of the simulation seed the sweep assigns per run.
 	Seed uint64
-	// Gen bounds the per-type knob draws; the zero value means
-	// workload.DefaultGenConfig.
-	Gen *workload.GenConfig
 
 	// Phases, when non-empty, defines a behaviour cycle (each entry's
 	// Dur and Type; the per-phase knobs are drawn per VM): generated
@@ -188,15 +185,14 @@ type MixDrawer struct {
 	types []vcputype.Type
 	cum   []float64
 	total float64
-	cfg   workload.GenConfig
 	topo  *hw.Topology
 }
 
 // NewMixDrawer prepares a drawer over mix (weights need not sum to 1;
-// types absent from the map are never drawn). cfg bounds the per-type
-// knob draws; topo sizes cache working sets.
-func NewMixDrawer(mix map[vcputype.Type]float64, cfg workload.GenConfig, topo *hw.Topology) *MixDrawer {
-	m := &MixDrawer{cfg: cfg, topo: topo}
+// types absent from the map are never drawn). topo sizes cache working
+// sets.
+func NewMixDrawer(mix map[vcputype.Type]float64, topo *hw.Topology) *MixDrawer {
+	m := &MixDrawer{topo: topo}
 	for _, t := range vcputype.All() {
 		if w, ok := mix[t]; ok {
 			m.total += w
@@ -228,7 +224,7 @@ func (m *MixDrawer) DrawType(rng *sim.RNG) vcputype.Type {
 // per-VM stream split).
 func (m *MixDrawer) Draw(rng *sim.RNG, label uint64) workload.AppSpec {
 	typ := m.DrawType(rng)
-	return m.cfg.Synthesize(rng.Fork(label), typ, m.topo)
+	return workload.Synthesize(rng.Fork(label), typ, m.topo)
 }
 
 // VCPUsOf reports how many vCPUs one VM of the app consumes (its thread
@@ -336,14 +332,9 @@ func (g *GenSpec) Generate() (Spec, error) {
 		ids[i] = hw.PCPUID(i)
 	}
 
-	cfg := workload.DefaultGenConfig()
-	if g.Gen != nil {
-		cfg = *g.Gen
-	}
-
 	// Cumulative weights in the taxonomy's fixed order — map iteration
 	// order must never leak into the draw sequence.
-	md := NewMixDrawer(g.Mix, cfg, topo)
+	md := NewMixDrawer(g.Mix, topo)
 
 	var apps []Entry
 	budget := g.VCPUs
@@ -367,7 +358,7 @@ func (g *GenSpec) Generate() (Spec, error) {
 		}
 		vrng := rng.Fork(label)
 		if len(g.Phases) > 0 && (md.Empty() || rng.Float64() < phaseProb) {
-			ph := cfg.SynthesizePhases(vrng, g.Phases, topo)
+			ph := workload.SynthesizePhases(vrng, g.Phases, topo)
 			var cycle sim.Time
 			for _, p := range ph {
 				cycle += p.Dur
@@ -379,7 +370,7 @@ func (g *GenSpec) Generate() (Spec, error) {
 				PhaseOffset: vrng.UniformTime(0, cycle),
 			}
 		}
-		return cfg.Synthesize(vrng, typ, topo)
+		return workload.Synthesize(vrng, typ, topo)
 	}
 
 	Populate(g.Seed, budget, drawApp, func(s workload.AppSpec) {

@@ -35,61 +35,17 @@ func (r Range) drawInt(rng *sim.RNG) int {
 	return lo + rng.Intn(hi-lo+1)
 }
 
-// GenConfig bounds the knobs Synthesize draws from, per target type:
-// IO request rates and service times (IOInt), spin-lock thread counts
-// and hold/gap durations (ConSpin), and working-set sizes relative to
-// the machine's cache levels (the three cache types). The zero value is
-// unusable; start from DefaultGenConfig.
-type GenConfig struct {
-	// IOInt: open-loop request rate (req/s) and per-request service
-	// time (µs).
-	IORate  Range
-	Service Range
-
-	// ConSpin: worker threads, inter-critical-section compute gap (µs)
-	// and lock hold time (µs).
-	Threads Range
-	Gap     Range
-	Hold    Range
-
-	// Working-set sizes, relative to the target cache level:
-	// LLCFWSS and LLCOWSS are fractions/multiples of the LLC,
-	// LoLCFWSS a fraction of L2 (the paper's Section 3.4.2 regimes).
-	LLCFWSS  Range
-	LLCOWSS  Range
-	LoLCFWSS Range
-}
-
-// DefaultGenConfig spans the behaviour regimes of the reference suite
-// (Table 3): rates and footprints bracket the SPEC/PARSEC/SPECweb
-// profiles in profiles.go without leaving each type's regime.
-func DefaultGenConfig() GenConfig {
-	return GenConfig{
-		IORate:   Range{150, 500},
-		Service:  Range{200, 400}, // µs
-		Threads:  Range{2, 6},
-		Gap:      Range{120, 400}, // µs
-		Hold:     Range{6, 16},    // µs
-		LLCFWSS:  Range{0.15, 0.7},
-		LLCOWSS:  Range{1.5, 3},
-		LoLCFWSS: Range{0.4, 0.9},
-	}
-}
-
-// Synthesize draws one application of the target type with the default
-// knob ranges. See GenConfig.Synthesize.
-func Synthesize(rng *sim.RNG, target vcputype.Type, topo *hw.Topology) AppSpec {
-	return DefaultGenConfig().Synthesize(rng, target, topo)
-}
-
 // Synthesize draws a synthetic AppSpec whose type-relevant behaviour
 // (IO rate, lock cadence, working set) lands in the target type's
-// regime on the given machine. The result is a pure function of the
-// RNG state, the target and the topology: callers that fork a fresh
-// RNG per call (rng.Fork(i)) get reproducible, order-independent
-// populations — the discipline the sweep layer relies on for
-// byte-identical artifacts at any worker count.
-func (c GenConfig) Synthesize(rng *sim.RNG, target vcputype.Type, topo *hw.Topology) AppSpec {
+// regime on the given machine. The knob ranges bracket the reference
+// suite's profiles (profiles.go, Table 3) without leaving each type's
+// regime; cache working sets are sized relative to the machine's L2 or
+// LLC (the paper's Section 3.4.2 regimes). The result is a pure
+// function of the RNG state, the target and the topology: callers that
+// fork a fresh RNG per call (rng.Fork(i)) get reproducible,
+// order-independent populations — the discipline the sweep layer
+// relies on for byte-identical artifacts at any worker count.
+func Synthesize(rng *sim.RNG, target vcputype.Type, topo *hw.Topology) AppSpec {
 	name := "syn-" + strings.ToLower(target.String())
 	switch target {
 	case vcputype.IOInt:
@@ -97,8 +53,8 @@ func (c GenConfig) Synthesize(rng *sim.RNG, target vcputype.Type, topo *hw.Topol
 			Name:     name,
 			Expected: vcputype.IOInt,
 			Kind:     KindWeb,
-			Rate:     c.IORate.draw(rng),
-			Service:  c.Service.drawTime(rng) * sim.Microsecond,
+			Rate:     Range{150, 500}.draw(rng),
+			Service:  Range{200, 400}.drawTime(rng) * sim.Microsecond,
 			Prof:     prof(rng, Range{96, 256}, Range{0.2, 0.4}),
 			CGI:      prof(rng, Range{128, 256}, Range{0.2, 0.4}),
 			JobWork:  Range{3000, 6000}.drawTime(rng) * sim.Microsecond,
@@ -110,13 +66,13 @@ func (c GenConfig) Synthesize(rng *sim.RNG, target vcputype.Type, topo *hw.Topol
 			Expected: vcputype.ConSpin,
 			Kind:     KindLock,
 			Prof:     prof(rng, Range{128, 256}, Range{0.3, 0.5}),
-			Threads:  c.Threads.drawInt(rng),
-			Gap:      c.Gap.drawTime(rng) * sim.Microsecond,
-			Hold:     c.Hold.drawTime(rng) * sim.Microsecond,
+			Threads:  Range{2, 6}.drawInt(rng),
+			Gap:      Range{120, 400}.drawTime(rng) * sim.Microsecond,
+			Hold:     Range{6, 16}.drawTime(rng) * sim.Microsecond,
 		}
 
 	case vcputype.LLCF:
-		wss := int64(c.LLCFWSS.draw(rng) * float64(topo.LLC.Size))
+		wss := int64(Range{0.15, 0.7}.draw(rng) * float64(topo.LLC.Size))
 		return AppSpec{
 			Name:     name,
 			Expected: vcputype.LLCF,
@@ -132,7 +88,7 @@ func (c GenConfig) Synthesize(rng *sim.RNG, target vcputype.Type, topo *hw.Topol
 		}
 
 	case vcputype.LLCO:
-		wss := int64(c.LLCOWSS.draw(rng) * float64(topo.LLC.Size))
+		wss := int64(Range{1.5, 3}.draw(rng) * float64(topo.LLC.Size))
 		return AppSpec{
 			Name:     name,
 			Expected: vcputype.LLCO,
@@ -148,7 +104,7 @@ func (c GenConfig) Synthesize(rng *sim.RNG, target vcputype.Type, topo *hw.Topol
 		}
 
 	case vcputype.LoLCF:
-		wss := int64(c.LoLCFWSS.draw(rng) * float64(topo.L2.Size))
+		wss := int64(Range{0.4, 0.9}.draw(rng) * float64(topo.L2.Size))
 		return AppSpec{
 			Name:     name,
 			Expected: vcputype.LoLCF,

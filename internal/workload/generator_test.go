@@ -30,11 +30,10 @@ func TestSynthesizeDeterministic(t *testing.T) {
 // type's behavioural regime on the machine it was drawn for.
 func TestSynthesizeRegimes(t *testing.T) {
 	topo := hw.I73770()
-	cfg := DefaultGenConfig()
 	rng := sim.NewRNG(0xBEEF)
 	for i := 0; i < 50; i++ {
 		for _, typ := range vcputype.All() {
-			s := cfg.Synthesize(rng.Fork(uint64(i)), typ, topo)
+			s := Synthesize(rng.Fork(uint64(i)), typ, topo)
 			if s.Expected != typ {
 				t.Fatalf("draw %d: expected type %v, got %v", i, typ, s.Expected)
 			}
@@ -43,14 +42,14 @@ func TestSynthesizeRegimes(t *testing.T) {
 			}
 			switch typ {
 			case vcputype.IOInt:
-				if s.Kind != KindWeb || s.Rate < cfg.IORate.Lo || s.Rate >= cfg.IORate.Hi {
+				if s.Kind != KindWeb || s.Rate < 150 || s.Rate >= 500 {
 					t.Fatalf("IOInt out of regime: %+v", s)
 				}
 				if s.Service <= 0 || s.CGI.WSS <= 0 {
 					t.Fatalf("IOInt missing service/CGI: %+v", s)
 				}
 			case vcputype.ConSpin:
-				if s.Kind != KindLock || s.Threads < int(cfg.Threads.Lo) || s.Threads > int(cfg.Threads.Hi) {
+				if s.Kind != KindLock || s.Threads < 2 || s.Threads > 6 {
 					t.Fatalf("ConSpin out of regime: %+v", s)
 				}
 				if s.Hold <= 0 || s.Gap <= 0 {

@@ -194,20 +194,20 @@ func (p *PhasedProgram) Next(t *guest.Thread, now sim.Time) guest.Action {
 }
 
 // SynthesizePhases draws one behaviour leg per phase definition from
-// the config's knob ranges — the phased analogue of Synthesize. The
-// result is a pure function of the RNG state, so generated dynamic
-// populations stay reproducible at any worker count.
-func (c GenConfig) SynthesizePhases(rng *sim.RNG, defs []AppPhase, topo *hw.Topology) []AppPhase {
+// Synthesize's knob ranges — its phased analogue. The result is a pure
+// function of the RNG state, so generated dynamic populations stay
+// reproducible at any worker count.
+func SynthesizePhases(rng *sim.RNG, defs []AppPhase, topo *hw.Topology) []AppPhase {
 	out := make([]AppPhase, len(defs))
 	for i, d := range defs {
 		ph := AppPhase{Dur: d.Dur, Type: d.Type}
 		switch d.Type {
 		case vcputype.IOInt:
-			ph.Rate = c.IORate.draw(rng)
-			ph.Service = c.Service.drawTime(rng) * sim.Microsecond
+			ph.Rate = Range{150, 500}.draw(rng)
+			ph.Service = Range{200, 400}.drawTime(rng) * sim.Microsecond
 			ph.Prof = prof(rng, Range{96, 256}, Range{0.2, 0.4})
 		default:
-			s := c.Synthesize(rng, d.Type, topo)
+			s := Synthesize(rng, d.Type, topo)
 			ph.Prof = s.Prof
 			ph.JobWork = s.JobWork
 		}

@@ -157,22 +157,21 @@ func TestSynthesizePhases(t *testing.T) {
 		{Dur: sim.Second, Type: vcputype.LLCF},
 	}
 	topo := hw.I73770()
-	cfg := DefaultGenConfig()
-	ph := cfg.SynthesizePhases(sim.NewRNG(3), defs, topo)
+	ph := SynthesizePhases(sim.NewRNG(3), defs, topo)
 	if len(ph) != 2 {
 		t.Fatalf("%d phases, want 2", len(ph))
 	}
 	if err := ValidatePhases(ph); err != nil {
 		t.Errorf("synthesized phases invalid: %v", err)
 	}
-	if ph[0].Rate < cfg.IORate.Lo || ph[0].Rate >= cfg.IORate.Hi {
-		t.Errorf("IO rate %v outside config range", ph[0].Rate)
+	if ph[0].Rate < 150 || ph[0].Rate >= 500 {
+		t.Errorf("IO rate %v outside [150, 500)", ph[0].Rate)
 	}
-	if lo, hi := int64(float64(topo.LLC.Size)*cfg.LLCFWSS.Lo), int64(float64(topo.LLC.Size)*cfg.LLCFWSS.Hi); ph[1].Prof.WSS < lo || ph[1].Prof.WSS > hi {
+	if lo, hi := int64(float64(topo.LLC.Size)*0.15), int64(float64(topo.LLC.Size)*0.7); ph[1].Prof.WSS < lo || ph[1].Prof.WSS > hi {
 		t.Errorf("LLCF WSS %d outside [%d, %d]", ph[1].Prof.WSS, lo, hi)
 	}
 	// Pure function of the RNG state.
-	again := cfg.SynthesizePhases(sim.NewRNG(3), defs, topo)
+	again := SynthesizePhases(sim.NewRNG(3), defs, topo)
 	for i := range ph {
 		if ph[i] != again[i] {
 			t.Errorf("phase %d not reproducible: %+v vs %+v", i, ph[i], again[i])

@@ -41,8 +41,7 @@ func cpuSpec(name string, expected vcputype.Type, prof cache.Profile) AppSpec {
 }
 
 // lockSpec builds a KindLock AppSpec (4 threads, the paper's kernbench
-// configuration) with a per-frame barrier — PARSEC's worker-loop
-// structure.
+// configuration).
 func lockSpec(name string, gap, hold sim.Time, prof cache.Profile) AppSpec {
 	return AppSpec{
 		Name:     name,

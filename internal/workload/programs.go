@@ -83,33 +83,21 @@ func (c *CPUBound) Next(t *guest.Thread, now sim.Time) guest.Action {
 }
 
 // LockWorker is one thread of a concurrent application synchronizing
-// through spin-locks plus periodic blocking dependencies (kernbench-like:
-// make jobs taking short kernel locks and waiting on compile/link
-// dependencies; PARSEC-like: pipeline stages handing work downstream).
-// Each cycle computes for Gap, then holds the lock for Hold inside a
-// critical section. Every JoinEvery cycles the thread signals its ring
-// successor and waits for its predecessor — a traveling dependency wave,
-// deliberately NOT an all-to-all barrier: symmetric barriers let the
-// gang self-align into co-scheduled windows, an artifact irregular real
-// dependency graphs do not enjoy. One completed critical section counts
-// as one job.
+// through spin-locks (kernbench-like: make jobs taking short kernel
+// locks; PARSEC-like: worker threads sharing one structure). Each cycle
+// computes for Gap, then holds the lock for Hold inside a critical
+// section. One completed critical section counts as one job.
 type LockWorker struct {
 	Lock *guest.SpinLock
 	Gap  sim.Time
 	Hold sim.Time
 	Prof cache.Profile
-	// Ring dependency: every JoinEvery cycles, V(NextSem) then
-	// P(PrevSem). Nil semaphores disable the ring.
-	NextSem   *guest.Semaphore
-	PrevSem   *guest.Semaphore
-	JoinEvery int
 
 	// Seed drives the per-cycle work jitter (deterministic xorshift).
 	Seed uint64
 
-	state  int
-	cycles int
-	rng    uint64
+	state int
+	rng   uint64
 }
 
 // NewLockWorker builds one worker of a spin-lock application.
@@ -143,12 +131,10 @@ const (
 	lwAcquire
 	lwCritical
 	lwRelease
-	lwSignal
-	lwWait
 )
 
 // Next implements guest.Program: gap compute -> acquire -> critical
-// section -> release [-> signal successor -> wait on predecessor].
+// section -> release.
 func (w *LockWorker) Next(t *guest.Thread, now sim.Time) guest.Action {
 	switch w.state {
 	case lwGap:
@@ -160,21 +146,10 @@ func (w *LockWorker) Next(t *guest.Thread, now sim.Time) guest.Action {
 	case lwCritical:
 		w.state = lwRelease
 		return guest.Compute(w.Hold, &criticalProfile)
-	case lwRelease:
-		w.cycles++
+	default: // lwRelease
 		t.Jobs++
-		if w.NextSem != nil && w.JoinEvery > 0 && w.cycles%w.JoinEvery == 0 {
-			w.state = lwSignal
-		} else {
-			w.state = lwGap
-		}
-		return guest.Release(w.Lock)
-	case lwSignal:
-		w.state = lwWait
-		return guest.SemV(w.NextSem)
-	default: // lwWait
 		w.state = lwGap
-		return guest.SemP(w.PrevSem)
+		return guest.Release(w.Lock)
 	}
 }
 
@@ -211,24 +186,4 @@ func (h *Handler) Next(t *guest.Thread, now sim.Time) guest.Action {
 		h.state = 1
 		return guest.WaitIO(h.Srv.Port)
 	}
-}
-
-// Sleeper alternates compute and sleep — a background housekeeping
-// pattern used in tests.
-type Sleeper struct {
-	Work  sim.Time
-	Sleep sim.Time
-	Prof  cache.Profile
-	state int
-}
-
-// Next implements guest.Program.
-func (s *Sleeper) Next(t *guest.Thread, now sim.Time) guest.Action {
-	if s.state == 0 {
-		s.state = 1
-		return guest.Compute(s.Work, &s.Prof)
-	}
-	s.state = 0
-	t.Jobs++
-	return guest.Sleep(s.Sleep)
 }

@@ -50,10 +50,6 @@ type AppSpec struct {
 	Threads int
 	Gap     sim.Time
 	Hold    sim.Time
-	// BarrierEvery, when positive, makes each lock thread signal its
-	// ring successor and wait on its predecessor every that many cycles
-	// (a traveling dependency wave, see LockWorker).
-	BarrierEvery int
 
 	// Rate / Service configure request service (KindWeb open loop).
 	Rate    float64
@@ -163,32 +159,10 @@ func Deploy(h *xen.Hypervisor, spec AppSpec, instance string, rng *sim.RNG) *Dep
 		d.Dom = h.CreateDomain(name, 0, 0, n)
 		lock := guest.NewSpinLock(name + ".lock")
 		d.Locks = append(d.Locks, lock)
-		// Ring dependency semaphores, seeded with one credit so the
-		// wave flows (each worker may run one join-interval ahead of
-		// its predecessor).
-		var sems []*guest.Semaphore
-		if spec.BarrierEvery > 0 {
-			for i := 0; i < n; i++ {
-				sems = append(sems, guest.NewSemaphore(fmt.Sprintf("%s.ring%d", name, i), 1))
-			}
-		}
 		for i := 0; i < n; i++ {
 			w := NewLockWorker(lock, spec.Gap, spec.Hold, spec.Prof)
 			w.Seed = rng.Fork(uint64(i) + 31).Uint64()
-			if sems != nil {
-				w.NextSem = sems[(i+1)%n]
-				w.PrevSem = sems[i]
-				w.JoinEvery = spec.BarrierEvery
-			}
 			spawn(fmt.Sprintf("%s.w%d", name, i), i, false, true, w)
-			// With ring joins enabled the vCPU would block at joins, so
-			// background jobs keep it heterogeneous (BOOST must not
-			// re-align the gang — the Section 3.4 argument). Without
-			// joins the spinning workers already never block.
-			if spec.BarrierEvery > 0 {
-				bg := NewCPUBound(spec.Prof, 5*sim.Millisecond)
-				spawn(fmt.Sprintf("%s.bg%d", name, i), i, false, false, bg)
-			}
 		}
 
 	case KindWeb:
@@ -314,14 +288,13 @@ func MicroWeb(hetero bool) AppSpec {
 // with the given thread count (the paper uses 4).
 func MicroKernbench(threads int) AppSpec {
 	return AppSpec{
-		Name:         "kernbench",
-		Expected:     vcputype.ConSpin,
-		Kind:         KindLock,
-		Prof:         cache.Profile{WSS: 192 * hw.KB, RefRate: 0.4},
-		Threads:      threads,
-		Gap:          150 * sim.Microsecond,
-		Hold:         12 * sim.Microsecond,
-		BarrierEvery: 0, // see LockWorker: ring joins available, off by default
+		Name:     "kernbench",
+		Expected: vcputype.ConSpin,
+		Kind:     KindLock,
+		Prof:     cache.Profile{WSS: 192 * hw.KB, RefRate: 0.4},
+		Threads:  threads,
+		Gap:      150 * sim.Microsecond,
+		Hold:     12 * sim.Microsecond,
 	}
 }
 
