@@ -359,9 +359,7 @@ func (h *Hypervisor) Preempt(p hw.PCPUID, now sim.Time) {
 		return
 	}
 	h.Preemptions++
-	h.stopRunning(v, now)
-	h.Sched.Requeue(v, now-v.dispatchedAt, now)
-	h.TryRun(p, now)
+	h.endSlice(v, now)
 }
 
 // dispatch puts v on p and starts its first burst.
@@ -528,32 +526,15 @@ func (h *Hypervisor) stopRunning(v *VCPU, now sim.Time) {
 // endSlice finishes v's quantum: requeue and reschedule the pCPU.
 func (h *Hypervisor) endSlice(v *VCPU, now sim.Time) {
 	p := v.pcpu
-	ranFor := now - v.dispatchedAt
-	if b := v.burst; b != nil {
-		v.burst = nil
-		v.endBurst.Stop()
-		h.settleBurst(v, b, now)
-		h.putBurst(b)
-	}
-	v.RunTime += ranFor
-	h.running[p] = nil
-	v.state = Runnable
-	v.runnableSince = now
-	h.Sched.Requeue(v, ranFor, now)
+	h.stopRunning(v, now)
+	h.Sched.Requeue(v, now-v.dispatchedAt, now)
 	h.TryRun(p, now)
 }
 
 // blockVCPU parks a vCPU with no runnable guest work.
 func (h *Hypervisor) blockVCPU(v *VCPU, now sim.Time) {
 	p := v.pcpu
-	if b := v.burst; b != nil {
-		v.burst = nil
-		v.endBurst.Stop()
-		h.settleBurst(v, b, now)
-		h.putBurst(b)
-	}
-	v.RunTime += now - v.dispatchedAt
-	h.running[p] = nil
+	h.stopRunning(v, now)
 	v.state = Blocked
 	h.Sched.Block(v, now)
 	h.TryRun(p, now)
@@ -637,11 +618,7 @@ func (h *Hypervisor) ApplyPlan(pp *PoolPlan, now sim.Time) error {
 			switch v.state {
 			case Running:
 				if !newPool.Contains(v.pcpu) {
-					p := v.pcpu
-					h.Preemptions++
-					h.stopRunning(v, now)
-					h.Sched.Requeue(v, now-v.dispatchedAt, now)
-					h.TryRun(p, now)
+					h.Preempt(v.pcpu, now)
 				} else {
 					// Stays put; the new quantum takes effect at the
 					// next dispatch.
