@@ -236,7 +236,7 @@ func (m *Model) Run(fp *Footprint, core hw.PCPUID, prof *Profile, work, budget s
 	// core since we last did. Bounded by the L2 size.
 	if m.cores[core].last != fp {
 		m.cores[core].last = fp
-		fill := float64(min64(prof.WSS, m.l2Size[core])) * m.l2Fill
+		fill := float64(min(prof.WSS, m.l2Size[core])) * m.l2Fill
 		if fill >= wallLeft {
 			// The whole budget went to private refill; almost no work.
 			res.Wall = budget
@@ -251,14 +251,14 @@ func (m *Model) Run(fp *Footprint, core hw.PCPUID, prof *Profile, work, budget s
 	switch {
 	case prof.WSS <= m.l2Size[core] || prof.RefRate <= 0:
 		// L2-resident: runs at ideal speed, negligible LLC traffic.
-		idealDone = math.Min(w, wallLeft)
+		idealDone = min(w, wallLeft)
 		refsF = prof.RefRate * idealDone
 		misses = 0
 
 	case prof.Streaming:
 		// No reuse: constant slowdown, constant insertion stream.
 		slow := 1 + prof.RefRate*prof.StreamMissRatio*m.missCost
-		idealDone = math.Min(w, wallLeft/slow)
+		idealDone = min(w, wallLeft/slow)
 		refsF = prof.RefRate * idealDone
 		misses = refsF * prof.StreamMissRatio
 		res.InsertedBytes = misses * float64(m.topo.LLC.LineSize)
@@ -313,20 +313,20 @@ func (m *Model) Run(fp *Footprint, core hw.PCPUID, prof *Profile, work, budget s
 // lattice — pure arithmetic, no exp — reproducing its exact return
 // value; see solveBudget.
 func (m *Model) runCached(fp *Footprint, prof *Profile, work, wallBudget float64) (idealDone, misses, refs float64) {
-	eff := math.Min(float64(prof.WSS), m.capBytes)
+	eff := min(float64(prof.WSS), m.capBytes)
 	line := float64(m.topo.LLC.LineSize)
 	floor := prof.MissFloor
 	if prof.WSS > int64(m.capBytes) {
 		// Set bigger than the cache but with reuse: references to the
 		// uncacheable remainder always miss. Raise the floor by the
 		// uncacheable fraction.
-		floor = math.Max(floor, 1-m.capBytes/float64(prof.WSS))
+		floor = max(floor, 1-m.capBytes/float64(prof.WSS))
 	}
 	r0 := 0.0
 	if eff > 0 {
-		r0 = math.Min(fp.resident/eff, 1)
+		r0 = min(fp.resident/eff, 1)
 	}
-	T := eff / (prof.RefRate * math.Max(1-floor, 1e-9) * line)
+	T := eff / (prof.RefRate * max(1-floor, 1e-9) * line)
 
 	// wall(w) = w + missCost*missCount(w), with
 	// missCount(w) = RefRate*(floor*w + (1-floor)*coldInt(w)) and
@@ -343,7 +343,7 @@ func (m *Model) runCached(fp *Footprint, prof *Profile, work, wallBudget float64
 	w := work
 	ew := math.Exp(-w / T)
 	if wallAt(w, ew) > wallBudget {
-		w = m.solveBudget(wallBudget, math.Min(w, wallBudget), r0, T, floor, prof.RefRate)
+		w = m.solveBudget(wallBudget, min(w, wallBudget), r0, T, floor, prof.RefRate)
 		ew = math.Exp(-w / T)
 	}
 	idealDone = w
@@ -352,7 +352,7 @@ func (m *Model) runCached(fp *Footprint, prof *Profile, work, wallBudget float64
 
 	// Footprint after the burst.
 	r := 1 - (1-r0)*ew
-	fp.resident = math.Min(r*eff, eff)
+	fp.resident = min(r*eff, eff)
 	return idealDone, misses, refs
 }
 
@@ -466,13 +466,6 @@ func SpinCounters(d sim.Time) hw.Counters {
 		Instructions: uint64(float64(d) * DefaultInstrPerUs * 0.25),
 		PauseLoops:   uint64(float64(d) * PauseRate),
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func ceilTime(v float64) sim.Time {

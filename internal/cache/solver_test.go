@@ -123,7 +123,7 @@ func runWithLegacySolver(m *Model, fp *Footprint, core hw.PCPUID, prof Profile, 
 	wallLeft := float64(budget)
 	if m.cores[core].last != fp {
 		m.cores[core].last = fp
-		fill := float64(min64(prof.WSS, m.topo.L2.Size)) * m.l2Fill
+		fill := float64(min(prof.WSS, m.topo.L2.Size)) * m.l2Fill
 		if fill >= wallLeft {
 			res.Wall = budget
 			res.Ideal = 0
