@@ -54,7 +54,6 @@ import (
 
 	"aqlsched/internal/catalog"
 	"aqlsched/internal/scenario"
-	"aqlsched/internal/sim"
 	"aqlsched/internal/sweep"
 )
 
@@ -71,7 +70,7 @@ func main() {
 		runTimeout  = flag.Duration("run-timeout", 10*time.Minute, "per-run watchdog: a run still executing after this is marked FAILED (0 disables)")
 		seeds       = flag.Int("seeds", 0, "override seed replications per cell")
 		seed        = flag.Uint64("seed", 0, "override the base simulation seed")
-		quick       = flag.Bool("quick", false, "quick windows (1s warmup, 2.5s measure)")
+		quick       = flag.Bool("quick", false, fmt.Sprintf("quick windows (%gs warmup, %gs measure)", sweep.QuickWarmup.Seconds(), sweep.QuickMeasure.Seconds()))
 		allowFailed = flag.Bool("allow-failed", false, "exit 0 even when runs or cells failed (failures still print and mark the artifacts)")
 		quiet       = flag.Bool("q", false, "suppress per-run progress on stderr")
 
@@ -149,8 +148,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "aqlsweep: -seed 0 is reserved for the default; running with base seed %#x\n", sweep.DefaultSeed)
 		}
 		if *quick {
-			spec.Warmup = 1 * sim.Second
-			spec.Measure = 2500 * sim.Millisecond
+			spec.Warmup = sweep.QuickWarmup
+			spec.Measure = sweep.QuickMeasure
 		}
 		if err := spec.Validate(); err != nil {
 			fmt.Fprintf(os.Stderr, "aqlsweep: %v\n", err)

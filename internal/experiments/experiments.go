@@ -84,7 +84,7 @@ func mustScenario(name string) sweep.Scenario {
 // windows returns (warmup, measure).
 func (c Config) windows() (sim.Time, sim.Time) {
 	if c.Quick {
-		return 1 * sim.Second, 2500 * sim.Millisecond
+		return sweep.QuickWarmup, sweep.QuickMeasure
 	}
 	return 2 * sim.Second, 6 * sim.Second
 }

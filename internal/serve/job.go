@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"aqlsched/internal/atomicio"
-	"aqlsched/internal/sim"
 	"aqlsched/internal/sweep"
 )
 
@@ -250,8 +249,8 @@ func (r *SubmitRequest) buildManifest() (sweep.Manifest, error) {
 		spec.BaseSeed = r.BaseSeed
 	}
 	if r.Quick {
-		spec.Warmup = 1 * sim.Second
-		spec.Measure = 2500 * sim.Millisecond
+		spec.Warmup = sweep.QuickWarmup
+		spec.Measure = sweep.QuickMeasure
 	}
 	if err := spec.Validate(); err != nil {
 		return sweep.Manifest{}, err

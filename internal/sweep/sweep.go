@@ -33,6 +33,14 @@ import (
 // DefaultSeed matches the experiments package default.
 const DefaultSeed uint64 = 0xA91
 
+// QuickWarmup and QuickMeasure are the quick windows: the quick paper
+// evaluation, aqlsweep -quick and a daemon submit with "quick" all run
+// with them.
+const (
+	QuickWarmup  = 1 * sim.Second
+	QuickMeasure = 2500 * sim.Millisecond
+)
+
 // Scenario is one point on the scenario axis. Exactly one of New and
 // NewFleet is set: New builds a fresh single-host scenario.Spec,
 // NewFleet a fresh multi-host fleet.Spec. Constructors return fresh
