@@ -69,8 +69,8 @@ type Profile struct {
 	ReuseFactor float64
 }
 
-// DefaultInstrPerUs is the nominal retirement rate of every burst (one
-// instruction per nanosecond of ideal time).
+// DefaultInstrPerUs is the nominal retirement rate of a compute burst
+// (one instruction per nanosecond of ideal time).
 const DefaultInstrPerUs = 1000.0
 
 // reuse returns the profile's reference reuse factor.
