@@ -74,6 +74,22 @@ func TestAdaptationTracksPhaseFlips(t *testing.T) {
 	}
 }
 
+// TestAdaptationWithoutCatalog: an AQL policy built directly, without
+// the catalog's constructors, still exposes its controller, so a
+// dynamic run records its adaptation. HeteroAQL on a homogeneous
+// machine falls back to the same controller.
+func TestAdaptationWithoutCatalog(t *testing.T) {
+	for _, pol := range []scenario.Policy{&baselines.AQL{}, &baselines.HeteroAQL{}} {
+		res := scenario.Run(quickDynPhase(0xA91), pol)
+		if res.Adapt == nil {
+			t.Errorf("%s: no adaptation record", pol.Name())
+		}
+		if _, ok := res.Metrics.Get(scenario.MAdaptMatch.Name); !ok {
+			t.Errorf("%s: %s missing from the run metrics", pol.Name(), scenario.MAdaptMatch.Name)
+		}
+	}
+}
+
 // TestArrivalsDeployAndDepart: a VM arriving mid-warmup and departing
 // mid-measure must run in between, be measured over its lifetime, and
 // leave the machine to the standing population afterwards.
