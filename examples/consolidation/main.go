@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	"aqlsched/internal/baselines"
-	"aqlsched/internal/core"
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/sim"
 )
@@ -20,8 +19,8 @@ func main() {
 	spec.Measure = 6 * sim.Second
 
 	base := scenario.Run(spec, baselines.XenDefault{})
-	var ctl *core.Controller
-	aql := scenario.Run(spec, baselines.AQL{Out: &ctl})
+	pol := &baselines.AQL{}
+	aql := scenario.Run(spec, pol)
 	norm := scenario.Normalize(aql, base)
 
 	fmt.Println("scenario S5: AQL_Sched vs default Xen (normalized, lower is better):")
@@ -36,7 +35,7 @@ func main() {
 	}
 
 	fmt.Println("clusters AQL_Sched settled on:")
-	for _, c := range ctl.LastPlan.Clusters {
+	for _, c := range pol.AQLController().LastPlan.Clusters {
 		fmt.Printf("  %-14s quantum %-10v pCPUs %d vCPUs %d\n",
 			c.Name, c.Quantum, len(c.PCPUs), len(c.Members))
 	}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"aqlsched/internal/baselines"
-	"aqlsched/internal/core"
 	"aqlsched/internal/hw"
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/sim"
@@ -16,16 +15,13 @@ import (
 	"aqlsched/internal/xen"
 )
 
-type watcher struct {
-	inner baselines.AQL
-	ctl   **core.Controller
-}
+// watcher is the AQL monitor-only policy printing the vTRS decisions
+// every 10 monitoring periods.
+type watcher struct{ *baselines.AQL }
 
-func (w *watcher) Name() string { return "typedetect" }
-
-func (w *watcher) Setup(h *xen.Hypervisor, deps []*workload.Deployment) {
-	w.inner.Setup(h, deps)
-	ctl := *w.ctl
+func (w watcher) Setup(h *xen.Hypervisor, deps []*workload.Deployment) {
+	w.AQL.Setup(h, deps)
+	ctl := w.AQLController()
 	ctl.Monitor.OnPeriod = func(now sim.Time, period int) {
 		if period%10 != 0 {
 			return
@@ -56,6 +52,5 @@ func main() {
 		Measure: 1 * sim.Second,
 		Seed:    0xA91,
 	}
-	var ctl *core.Controller
-	scenario.Run(spec, &watcher{inner: baselines.AQL{MonitorOnly: true, Out: &ctl}, ctl: &ctl})
+	scenario.Run(spec, watcher{&baselines.AQL{MonitorOnly: true}})
 }

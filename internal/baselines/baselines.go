@@ -119,21 +119,22 @@ func (VSlicer) Setup(h *xen.Hypervisor, deps []*workload.Deployment) {
 	}
 }
 
-// AQL attaches the AQL_Sched controller (the paper's system).
+// AQL attaches the AQL_Sched controller (the paper's system). Its three
+// settings are the only ways the paper varies AQL_Sched; the instance
+// keeps the controller its last Setup built.
 type AQL struct {
-	// DisableCustomization gives the Fig. 7 ablation (clustering only,
-	// FixedQuantum on every pool).
-	DisableCustomization bool
-	FixedQuantum         sim.Time
+	// Window is the vTRS sliding-window length n (and, with it, the
+	// recluster cadence and grace period) — the reactivity-vs-churn
+	// knob of Section 3.3. Zero keeps the paper's n = 4.
+	Window int
+	// FixedQuantum, when positive, gives the Fig. 7 ablation:
+	// clustering only, this quantum on every pool.
+	FixedQuantum sim.Time
 	// MonitorOnly runs vTRS sampling without ever reconfiguring pools —
 	// the Section 4.3 overhead measurement.
 	MonitorOnly bool
-	// Window overrides the vTRS sliding-window length n (and, with it,
-	// the recluster cadence and grace period) — the reactivity-vs-churn
-	// knob of Section 3.3. Zero keeps the paper's n = 4.
-	Window int
-	// Out receives the controller for post-run inspection.
-	Out **core.Controller
+
+	ctl *core.Controller
 }
 
 // Name implements the scenario policy interface.
@@ -141,7 +142,7 @@ func (a AQL) Name() string {
 	switch {
 	case a.MonitorOnly:
 		return "aql-monitor-only"
-	case a.DisableCustomization:
+	case a.FixedQuantum > 0:
 		return "aql-nocustom-" + a.FixedQuantum.String()
 	case a.Window > 0:
 		return fmt.Sprintf("aql-w%d", a.Window)
@@ -150,37 +151,14 @@ func (a AQL) Name() string {
 }
 
 // Setup implements the scenario policy interface.
-func (a AQL) Setup(h *xen.Hypervisor, deps []*workload.Deployment) {
-	c := core.New(h)
-	if a.DisableCustomization {
-		c.QuantumCustomization = false
-		c.FixedQuantum = a.FixedQuantum
-	}
-	if a.Window > 0 {
-		c.Monitor.Window = a.Window
-		c.ReclusterEvery = a.Window
-		c.GracePeriods = 2 * a.Window
-	}
-	// MonitorOnly wins over Window: a monitor-only run must never
-	// recluster, whatever window it samples with.
-	if a.MonitorOnly {
-		c.ReclusterEvery = 0
-	}
-	c.Start()
-	if a.Out != nil {
-		*a.Out = c
-	}
+func (a *AQL) Setup(h *xen.Hypervisor, deps []*workload.Deployment) {
+	a.ctl = core.New(h, a.Window, a.FixedQuantum, a.MonitorOnly)
 }
 
 // AQLController implements scenario.ControllerProvider: it exposes the
-// controller the last Setup produced, so the adaptation tracker can
-// read recognized types. Nil until Setup runs (or without an Out slot).
-func (a AQL) AQLController() *core.Controller {
-	if a.Out == nil {
-		return nil
-	}
-	return *a.Out
-}
+// controller the last Setup built, so the adaptation tracker can read
+// recognized types. Nil until Setup runs.
+func (a *AQL) AQLController() *core.Controller { return a.ctl }
 
 // ioVCPUs marks the vCPUs of IO-intensive deployments (manual
 // configuration, as the paper did for the baselines).

@@ -29,7 +29,7 @@ func policies() []scenario.Policy {
 		baselines.Microsliced(),
 		baselines.VTurbo{},
 		baselines.VSlicer{},
-		baselines.AQL{},
+		&baselines.AQL{},
 	}
 }
 
@@ -76,7 +76,7 @@ func TestPoliciesAreDeterministic(t *testing.T) {
 	for _, mk := range []func() scenario.Policy{
 		func() scenario.Policy { return baselines.XenDefault{} },
 		func() scenario.Policy { return baselines.Microsliced() },
-		func() scenario.Policy { return baselines.AQL{} },
+		func() scenario.Policy { return &baselines.AQL{} },
 	} {
 		a := scenario.Run(s5(7), mk())
 		b := scenario.Run(s5(7), mk())

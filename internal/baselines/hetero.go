@@ -21,9 +21,8 @@ import (
 type HeteroAQL struct {
 	// FastQ is the fast-class pool's quantum (default 1 ms).
 	FastQ sim.Time
-	// Out receives the fallback AQL controller for post-run inspection
-	// (nil on heterogeneous machines, where assignment is static).
-	Out **core.Controller
+
+	ctl *core.Controller // the homogeneous fallback's controller
 }
 
 // Name implements the scenario policy interface.
@@ -65,10 +64,10 @@ func (p HeteroAQL) FastPCPUs(h *xen.Hypervisor) []hw.PCPUID {
 }
 
 // Setup implements the scenario policy interface.
-func (p HeteroAQL) Setup(h *xen.Hypervisor, deps []*workload.Deployment) {
+func (p *HeteroAQL) Setup(h *xen.Hypervisor, deps []*workload.Deployment) {
 	fast := p.FastPCPUs(h)
 	if fast == nil {
-		AQL{Out: p.Out}.Setup(h, deps)
+		p.ctl = core.New(h, 0, 0, false)
 		return
 	}
 	topo, fastest := h.Topo, h.Topo.FastestClass()
@@ -95,19 +94,9 @@ func (p HeteroAQL) Setup(h *xen.Hypervisor, deps []*workload.Deployment) {
 }
 
 // AQLController implements scenario.ControllerProvider for the
-// homogeneous fallback.
-func (p HeteroAQL) AQLController() *core.Controller {
-	if p.Out == nil {
-		return nil
-	}
-	return *p.Out
-}
-
-// EDFStats counts deadline accounting across one policy instance's run.
-type EDFStats struct {
-	Misses     uint64
-	Dispatches uint64
-}
+// homogeneous fallback (nil on heterogeneous machines, where
+// assignment is static).
+func (p *HeteroAQL) AQLController() *core.Controller { return p.ctl }
 
 // EDF is the deadline-aware quantum policy from the real-time
 // scheduling axis: every vCPU shares one pool whose quantum derives
@@ -118,8 +107,8 @@ type EDFStats struct {
 type EDF struct {
 	// Deadline is the per-dispatch scheduling-delay bound.
 	Deadline sim.Time
-	// Stats receives the miss/dispatch counters (fresh per run).
-	Stats *EDFStats
+
+	misses, dispatches uint64 // the last run's deadline accounting
 }
 
 // Name implements the scenario policy interface.
@@ -138,7 +127,7 @@ func (e EDF) Quantum() sim.Time {
 }
 
 // Setup implements the scenario policy interface.
-func (e EDF) Setup(h *xen.Hypervisor, deps []*workload.Deployment) {
+func (e *EDF) Setup(h *xen.Hypervisor, deps []*workload.Deployment) {
 	pool := xen.NewCPUPool("edf", e.Quantum(), h.GuestPCPUs())
 	plan := &xen.PoolPlan{Pools: []*xen.CPUPool{pool}, Assign: map[*xen.VCPU]*xen.CPUPool{}}
 	for _, v := range h.AllVCPUs() {
@@ -147,11 +136,11 @@ func (e EDF) Setup(h *xen.Hypervisor, deps []*workload.Deployment) {
 	if err := h.ApplyPlan(plan, h.Engine.Now()); err != nil {
 		panic("baselines: " + err.Error())
 	}
-	stats, deadline := e.Stats, e.Deadline
+	e.misses, e.dispatches = 0, 0
 	h.OnDispatch = func(_ *xen.VCPU, wait, _ sim.Time) {
-		stats.Dispatches++
-		if wait > deadline {
-			stats.Misses++
+		e.dispatches++
+		if wait > e.Deadline {
+			e.misses++
 		}
 	}
 }
@@ -159,9 +148,9 @@ func (e EDF) Setup(h *xen.Hypervisor, deps []*workload.Deployment) {
 // ReportRunMetrics implements scenario.RunMetricsReporter. It
 // accumulates with any counts already in the set: a fleet run invokes
 // it once per host against the fleet's shared metric set.
-func (e EDF) ReportRunMetrics(set *metrics.Set) {
-	misses := float64(e.Stats.Misses)
-	disp := float64(e.Stats.Dispatches)
+func (e *EDF) ReportRunMetrics(set *metrics.Set) {
+	misses := float64(e.misses)
+	disp := float64(e.dispatches)
 	if prev, ok := set.Get(scenario.MDeadlineMisses.Name); ok {
 		misses += prev
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"aqlsched/internal/baselines"
-	"aqlsched/internal/core"
 	"aqlsched/internal/credit"
 	"aqlsched/internal/hw"
 	"aqlsched/internal/scenario"
@@ -99,7 +98,7 @@ func TestHeteroAQLFallsBackToAQL(t *testing.T) {
 	rng := sim.NewRNG(9)
 	deps := []*workload.Deployment{workload.Deploy(h, suiteApp(t, vcputype.IOInt), "", rng)}
 
-	pol := baselines.HeteroAQL{Out: new(*core.Controller)}
+	pol := &baselines.HeteroAQL{}
 	if fast := pol.FastPCPUs(h); fast != nil {
 		t.Fatalf("FastPCPUs = %v on a homogeneous machine, want nil", fast)
 	}
@@ -124,7 +123,7 @@ func TestHeteroAQLNames(t *testing.T) {
 func TestHeteroAQLRunsEndToEnd(t *testing.T) {
 	spec := s5(0xA91)
 	spec.Topo = bigLittleTopo()
-	res := scenario.Run(spec, baselines.HeteroAQL{})
+	res := scenario.Run(spec, &baselines.HeteroAQL{})
 	if len(res.Apps) == 0 {
 		t.Fatal("no apps measured")
 	}
@@ -135,7 +134,7 @@ func TestHeteroAQLRunsEndToEnd(t *testing.T) {
 	}
 	// Determinism on the heterogeneous path: the speed-scaling
 	// arithmetic is integer-anchored, so identical seeds agree exactly.
-	again := scenario.Run(spec, baselines.HeteroAQL{})
+	again := scenario.Run(spec, &baselines.HeteroAQL{})
 	for i := range res.Apps {
 		if !res.Apps[i].Metrics.Equal(again.Apps[i].Metrics) {
 			t.Errorf("%s: hetero run not deterministic", res.Apps[i].Name)
@@ -146,7 +145,7 @@ func TestHeteroAQLRunsEndToEnd(t *testing.T) {
 // TestEDFEmitsDeadlineMetrics: an EDF run reports the deadline miss
 // accounting; other policies leave the metrics absent.
 func TestEDFEmitsDeadlineMetrics(t *testing.T) {
-	res := scenario.Run(s5(7), baselines.EDF{Deadline: 10 * sim.Millisecond, Stats: new(baselines.EDFStats)})
+	res := scenario.Run(s5(7), &baselines.EDF{Deadline: 10 * sim.Millisecond})
 	misses, okM := res.Metrics.Get(scenario.MDeadlineMisses.Name)
 	disp, okD := res.Metrics.Get(scenario.MDeadlineDispatches.Name)
 	ratio, okR := res.Metrics.Get(scenario.MDeadlineMissRatio.Name)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"aqlsched/internal/baselines"
-	"aqlsched/internal/core"
 	"aqlsched/internal/hw"
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/sim"
@@ -150,69 +149,56 @@ func init() {
 	})
 }
 
-// XenPolicy is the unmodified credit scheduler (the usual baseline).
-func XenPolicy() Policy {
-	return Policy{Name: baselines.XenDefault{}.Name(), New: func() scenario.Policy {
-		return baselines.XenDefault{}
-	}}
+// policy names an axis point by the policy mk builds; every run calls
+// mk for a fresh instance, so a stateful policy (AQL's controller,
+// EDF's counters) keeps its run's state to itself.
+func policy(mk func() scenario.Policy) Policy {
+	return Policy{Name: mk().Name(), New: mk}
 }
 
-// AQLPolicy is the paper's system. Every run gets a fresh controller
-// output slot, retrievable via sweep.RunResult.Controller.
+// XenPolicy is the unmodified credit scheduler (the usual baseline).
+func XenPolicy() Policy {
+	return policy(func() scenario.Policy { return baselines.XenDefault{} })
+}
+
+// AQLPolicy is the paper's system. Each run's controller is
+// retrievable via sweep.RunResult.Controller.
 func AQLPolicy() Policy {
-	return Policy{Name: baselines.AQL{}.Name(), New: func() scenario.Policy {
-		return baselines.AQL{Out: new(*core.Controller)}
-	}}
+	return policy(func() scenario.Policy { return &baselines.AQL{} })
 }
 
 // AQLWindowPolicy is AQL with a non-default vTRS window n (recluster
 // cadence and grace period scale with it) — the reactivity-vs-churn
 // axis of the adaptation experiment.
 func AQLWindowPolicy(n int) Policy {
-	name := baselines.AQL{Window: n}.Name()
-	return Policy{Name: name, New: func() scenario.Policy {
-		return baselines.AQL{Window: n, Out: new(*core.Controller)}
-	}}
+	return policy(func() scenario.Policy { return &baselines.AQL{Window: n} })
 }
 
 // AQLNoCustomPolicy is the Fig. 7 ablation: clustering stays active but
 // every pool runs the fixed quantum q.
 func AQLNoCustomPolicy(q sim.Time) Policy {
-	name := baselines.AQL{DisableCustomization: true, FixedQuantum: q}.Name()
-	return Policy{Name: name, New: func() scenario.Policy {
-		return baselines.AQL{DisableCustomization: true, FixedQuantum: q, Out: new(*core.Controller)}
-	}}
+	return policy(func() scenario.Policy { return &baselines.AQL{FixedQuantum: q} })
 }
 
 // FixedPolicy runs every vCPU at quantum q in one pool.
 func FixedPolicy(q sim.Time) Policy {
-	name := baselines.FixedQuantum{Q: q}.Name()
-	return Policy{Name: name, New: func() scenario.Policy {
-		return baselines.FixedQuantum{Q: q}
-	}}
+	return policy(func() scenario.Policy { return baselines.FixedQuantum{Q: q} })
 }
 
 // VTurboPolicy, VSlicerPolicy and MicroslicedPolicy are the related
 // systems of Fig. 8, manually configured as in the paper.
 func VTurboPolicy() Policy {
-	return Policy{Name: baselines.VTurbo{}.Name(), New: func() scenario.Policy {
-		return baselines.VTurbo{}
-	}}
+	return policy(func() scenario.Policy { return baselines.VTurbo{} })
 }
 
 // VSlicerPolicy differentiates IO-intensive slices on shared pools.
 func VSlicerPolicy() Policy {
-	return Policy{Name: baselines.VSlicer{}.Name(), New: func() scenario.Policy {
-		return baselines.VSlicer{}
-	}}
+	return policy(func() scenario.Policy { return baselines.VSlicer{} })
 }
 
 // MicroslicedPolicy shortens the quantum for every vCPU.
 func MicroslicedPolicy() Policy {
-	m := baselines.Microsliced()
-	return Policy{Name: m.Name(), New: func() scenario.Policy {
-		return baselines.Microsliced()
-	}}
+	return policy(func() scenario.Policy { return baselines.Microsliced() })
 }
 
 // HeteroAQLPolicy is the heterogeneous-topology consumer of the AQL
@@ -220,20 +206,14 @@ func MicroslicedPolicy() Policy {
 // the fastest class at quantum fastQ; on homogeneous machines it is
 // plain AQL.
 func HeteroAQLPolicy(fastQ sim.Time) Policy {
-	name := baselines.HeteroAQL{FastQ: fastQ}.Name()
-	return Policy{Name: name, New: func() scenario.Policy {
-		return baselines.HeteroAQL{FastQ: fastQ, Out: new(*core.Controller)}
-	}}
+	return policy(func() scenario.Policy { return &baselines.HeteroAQL{FastQ: fastQ} })
 }
 
 // EDFPolicy runs every vCPU at a deadline-derived quantum and counts
 // per-dispatch scheduling delays against the deadline (the
 // deadline_miss_ratio metric).
 func EDFPolicy(deadline sim.Time) Policy {
-	name := baselines.EDF{Deadline: deadline}.Name()
-	return Policy{Name: name, New: func() scenario.Policy {
-		return baselines.EDF{Deadline: deadline, Stats: new(baselines.EDFStats)}
-	}}
+	return policy(func() scenario.Policy { return &baselines.EDF{Deadline: deadline} })
 }
 
 // ParseQuantum parses a quantum duration argument ("10ms", "90ms").

@@ -32,49 +32,47 @@ import (
 type Controller struct {
 	H       *xen.Hypervisor
 	Monitor *vtrs.Monitor
-	Table   cluster.QuantumTable
-
-	// ReclusterEvery is the decision cadence in monitoring periods
-	// (defaults to the vTRS window, n = 4).
-	ReclusterEvery int
-	// GracePeriods delays the first decision so every vCPU accumulates
-	// a full window of warm history under the default quantum before
-	// the first clustering locks placements in (defaults to 2 windows).
-	GracePeriods int
-
-	// QuantumCustomization, when false, keeps the clustering step but
-	// forces FixedQuantum on every pool — the Fig. 7 ablation that
-	// isolates the benefit of quantum customization from the benefit of
-	// clustering.
-	QuantumCustomization bool
-	// FixedQuantum is the pool quantum used when customization is off.
-	FixedQuantum sim.Time
 
 	// Reclusters counts applied reconfigurations (diagnostics).
 	Reclusters uint64
 	// LastPlan is the most recently applied cluster layout.
 	LastPlan *cluster.Plan
 
+	table   cluster.QuantumTable
+	every   int      // decision cadence in monitoring periods; 0 never decides
+	grace   int      // periods before the first decision
+	fixedQ  sim.Time // when positive, the quantum of every pool
 	lastSig string
 }
 
 // New builds an AQL controller over h with the paper's calibrated
-// quantum table and default cadence.
-func New(h *xen.Hypervisor) *Controller {
-	return &Controller{
-		H:                    h,
-		Monitor:              vtrs.NewMonitor(h),
-		Table:                cluster.PaperTable(),
-		ReclusterEvery:       vtrs.DefaultWindow,
-		GracePeriods:         2 * vtrs.DefaultWindow,
-		QuantumCustomization: true,
+// quantum table and starts it. n is the vTRS window (n <= 0 keeps the
+// paper's 4); the controller reclusters every n monitoring periods,
+// after a grace period of 2n so every vCPU accumulates a full window of
+// warm history under the default quantum before the first clustering
+// locks placements in. A positive fixedQ keeps the clustering but forces
+// that quantum on every pool — the Fig. 7 ablation that isolates the
+// benefit of quantum customization from the benefit of clustering.
+// monitorOnly samples without ever reclustering, whatever n is — the
+// Section 4.3 overhead measurement.
+func New(h *xen.Hypervisor, n int, fixedQ sim.Time, monitorOnly bool) *Controller {
+	if n <= 0 {
+		n = vtrs.DefaultWindow
 	}
-}
-
-// Start begins monitoring and deciding.
-func (c *Controller) Start() {
+	c := &Controller{
+		H:       h,
+		Monitor: vtrs.NewMonitor(h, n),
+		table:   cluster.PaperTable(),
+		every:   n,
+		grace:   2 * n,
+		fixedQ:  fixedQ,
+	}
+	if monitorOnly {
+		c.every = 0
+	}
 	c.Monitor.OnPeriod = c.onPeriod
 	c.Monitor.Start()
+	return c
 }
 
 // Infos snapshots the recognized type and trashing cursor of every
@@ -93,20 +91,16 @@ func (c *Controller) Infos() []cluster.VCPUInfo {
 	return infos
 }
 
-// onPeriod runs after each monitoring period; every ReclusterEvery
-// periods it recomputes and (if changed) applies the cluster plan.
+// onPeriod runs after each monitoring period; every c.every periods
+// it recomputes and (if changed) applies the cluster plan.
 func (c *Controller) onPeriod(now sim.Time, period int) {
-	if c.ReclusterEvery <= 0 || period%c.ReclusterEvery != 0 || period < c.GracePeriods {
+	if c.every == 0 || period%c.every != 0 || period < c.grace {
 		return
 	}
-	plan := cluster.Build(c.H, c.Infos(), c.Table)
-	if !c.QuantumCustomization {
-		q := c.FixedQuantum
-		if q <= 0 {
-			q = c.Table.Default
-		}
+	plan := cluster.Build(c.H, c.Infos(), c.table)
+	if c.fixedQ > 0 {
 		for _, cl := range plan.Clusters {
-			cl.Quantum = q
+			cl.Quantum = c.fixedQ
 		}
 	}
 	sig := plan.Signature()

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"aqlsched/internal/baselines"
-	"aqlsched/internal/core"
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/sim"
 	"aqlsched/internal/vcputype"
@@ -22,8 +21,9 @@ func runWith(t *testing.T, name string, pol scenario.Policy, warmup, measure sim
 }
 
 func TestAQLRecognizesScenarioTypes(t *testing.T) {
-	var ctl *core.Controller
-	res := runWith(t, "S1", baselines.AQL{Out: &ctl}, 2*sim.Second, 1*sim.Second)
+	pol := &baselines.AQL{}
+	res := runWith(t, "S1", pol, 2*sim.Second, 1*sim.Second)
+	ctl := pol.AQLController()
 	if ctl == nil {
 		t.Fatal("controller not exposed")
 	}
@@ -46,8 +46,9 @@ func TestAQLRecognizesScenarioTypes(t *testing.T) {
 }
 
 func TestAQLFormsTable5S1Clusters(t *testing.T) {
-	var ctl *core.Controller
-	runWith(t, "S1", baselines.AQL{Out: &ctl}, 2*sim.Second, 1*sim.Second)
+	pol := &baselines.AQL{}
+	runWith(t, "S1", pol, 2*sim.Second, 1*sim.Second)
+	ctl := pol.AQLController()
 	if ctl.LastPlan == nil {
 		t.Fatal("no cluster plan applied")
 	}
@@ -81,7 +82,7 @@ func TestAQLOutperformsDefaultXenOnS2(t *testing.T) {
 	// default Xen on the web latency (1ms pool) while not hurting LLCF
 	// (90ms pool, separated from trashers where possible).
 	base := runWith(t, "S2", baselines.XenDefault{}, 2*sim.Second, 4*sim.Second)
-	aql := runWith(t, "S2", baselines.AQL{}, 2*sim.Second, 4*sim.Second)
+	aql := runWith(t, "S2", &baselines.AQL{}, 2*sim.Second, 4*sim.Second)
 	norm := scenario.Normalize(aql, base)
 
 	if n := norm["SPECweb2009"]; n >= 1.0 {
@@ -101,7 +102,7 @@ func TestAQLOverheadNegligible(t *testing.T) {
 	// counting, PLE trapping, PMU sampling every 30 ms) must not perturb
 	// application performance (paper: < 1%).
 	base := runWith(t, "S3", baselines.XenDefault{}, 1*sim.Second, 4*sim.Second)
-	mon := runWith(t, "S3", baselines.AQL{MonitorOnly: true}, 1*sim.Second, 4*sim.Second)
+	mon := runWith(t, "S3", &baselines.AQL{MonitorOnly: true}, 1*sim.Second, 4*sim.Second)
 	norm := scenario.Normalize(mon, base)
 	for app, n := range norm {
 		if n > 1.01 || n < 0.99 {
@@ -113,8 +114,9 @@ func TestAQLOverheadNegligible(t *testing.T) {
 func TestAQLReclusteringIsStable(t *testing.T) {
 	// Once types stabilize, the controller should stop reconfiguring:
 	// the plan signature is unchanged so ApplyPlan is skipped.
-	var ctl *core.Controller
-	runWith(t, "S1", baselines.AQL{Out: &ctl}, 3*sim.Second, 3*sim.Second)
+	pol := &baselines.AQL{}
+	runWith(t, "S1", pol, 3*sim.Second, 3*sim.Second)
+	ctl := pol.AQLController()
 	// 6s of run = 50 windows; if every window reconfigured, churn.
 	if ctl.Reclusters > 20 {
 		t.Errorf("%d reconfigurations over 6s, want few (stable types)", ctl.Reclusters)
@@ -131,15 +133,14 @@ func TestAQLAdaptsWhenWorkloadChanges(t *testing.T) {
 	spec := scenario.ScenarioByName("S1", 11)
 	spec.Warmup = 2 * sim.Second
 	spec.Measure = 1 * sim.Second
-	var ctl *core.Controller
-	res := scenario.Run(spec, baselines.AQL{Out: &ctl})
-	_ = res
+	pol := &baselines.AQL{}
+	scenario.Run(spec, pol)
 
 	// Fresh hypervisor-level check is done through a direct run: build
 	// a phase-change program via two profiles. Simplest: re-run with a
 	// domain whose spec flips — covered by the vtrs window test at unit
 	// level; here we just assert the controller exposes changing infos.
-	infos := ctl.Infos()
+	infos := pol.AQLController().Infos()
 	if len(infos) == 0 {
 		t.Fatal("no infos")
 	}
@@ -153,7 +154,7 @@ func TestAQLAdaptsWhenWorkloadChanges(t *testing.T) {
 }
 
 // Ensure the policy glue compiles against the real workload types.
-var _ scenario.Policy = baselines.AQL{}
+var _ scenario.Policy = &baselines.AQL{}
 var _ scenario.Policy = baselines.XenDefault{}
 var _ scenario.Policy = baselines.VTurbo{}
 var _ scenario.Policy = baselines.VSlicer{}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"aqlsched/internal/baselines"
-	"aqlsched/internal/core"
 	"aqlsched/internal/hw"
 	"aqlsched/internal/report"
 	"aqlsched/internal/scenario"
@@ -61,14 +60,12 @@ func Fig4(cfg Config) *Fig4Result {
 		spec.Apps = append(spec.Apps, scenario.Entry{Spec: app, Count: 1})
 	}
 
-	var ctl *core.Controller
-	pol := baselines.AQL{MonitorOnly: true, Out: &ctl}
+	// Traces must be enabled before the run starts: the policy's Setup
+	// enables them.
+	pol := tracingPolicy{&baselines.AQL{MonitorOnly: true}}
+	res := scenario.Run(spec, pol)
 
-	// We need traces enabled before the run starts; use the policy's
-	// Setup hook by wrapping it.
-	wrapped := &tracingPolicy{inner: pol, ctl: &ctl}
-	res := scenario.Run(spec, wrapped)
-
+	ctl := pol.AQLController()
 	out := &Fig4Result{Periods: ctl.Monitor.Periods()}
 	for _, d := range res.Deps {
 		v := d.Dom.VCPUs[0]
@@ -82,19 +79,14 @@ func Fig4(cfg Config) *Fig4Result {
 	return out
 }
 
-// tracingPolicy wraps the AQL monitor-only policy and enables tracing
-// on every vCPU right after setup.
-type tracingPolicy struct {
-	inner baselines.AQL
-	ctl   **core.Controller
-}
+// tracingPolicy is the AQL monitor-only policy that enables tracing on
+// every deployment's first vCPU right after setup.
+type tracingPolicy struct{ *baselines.AQL }
 
-func (p *tracingPolicy) Name() string { return "vtrs-trace" }
-
-func (p *tracingPolicy) Setup(h *xen.Hypervisor, deps []*workload.Deployment) {
-	p.inner.Setup(h, deps)
+func (p tracingPolicy) Setup(h *xen.Hypervisor, deps []*workload.Deployment) {
+	p.AQL.Setup(h, deps)
 	for _, d := range deps {
-		(*p.ctl).Monitor.Trace(d.Dom.VCPUs[0])
+		p.AQLController().Monitor.Trace(d.Dom.VCPUs[0])
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"aqlsched/internal/baselines"
-	"aqlsched/internal/core"
 	"aqlsched/internal/report"
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/sim"
@@ -42,21 +41,20 @@ func Overhead(cfg Config) *OverheadResult {
 	spec.Measure = meas
 
 	base := scenario.Run(spec, baselines.XenDefault{})
-	var ctl *core.Controller
-	mon := scenario.Run(spec, baselines.AQL{MonitorOnly: true, Out: &ctl})
+	pol := &baselines.AQL{MonitorOnly: true}
+	mon := scenario.Run(spec, pol)
 
+	ctl := pol.AQLController()
 	out := &OverheadResult{
-		PerfDelta: scenario.Normalize(mon, base),
+		PerfDelta:  scenario.Normalize(mon, base),
+		Periods:    ctl.Monitor.Periods(),
+		Reclusters: ctl.Reclusters,
 	}
-	if ctl != nil {
-		out.Periods = ctl.Monitor.Periods()
-		out.Reclusters = ctl.Reclusters
-		nv := len(mon.Hyp.AllVCPUs())
-		np := len(mon.Hyp.GuestPCPUs())
-		ctlCost := sim.Time(out.Periods) * (sim.Time(nv)*costPerVCPUSample + sim.Time(nv+np)*costPerEntity)
-		total := (warm + meas) * sim.Time(np)
-		out.ModelledOverhead = float64(ctlCost) / float64(total)
-	}
+	nv := len(mon.Hyp.AllVCPUs())
+	np := len(mon.Hyp.GuestPCPUs())
+	ctlCost := sim.Time(out.Periods) * (sim.Time(nv)*costPerVCPUSample + sim.Time(nv+np)*costPerEntity)
+	total := (warm + meas) * sim.Time(np)
+	out.ModelledOverhead = float64(ctlCost) / float64(total)
 	return out
 }
 

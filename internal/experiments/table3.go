@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"aqlsched/internal/baselines"
-	"aqlsched/internal/core"
 	"aqlsched/internal/par"
 	"aqlsched/internal/report"
 	"aqlsched/internal/scenario"
@@ -31,10 +30,9 @@ func Table3(cfg Config) *Table3Result {
 	out := &Table3Result{Entries: make([]Table3Entry, len(suite))}
 	par.Do(len(suite), 0, func(i int) {
 		app := suite[i]
-		var ctl *core.Controller
-		spec := Colo(app, 4, cfg)
-		res := scenario.Run(spec, baselines.AQL{MonitorOnly: true, Out: &ctl})
-		detected := ctl.Monitor.TypeOf(res.Deps[0].Dom.VCPUs[0])
+		pol := &baselines.AQL{MonitorOnly: true}
+		res := scenario.Run(Colo(app, 4, cfg), pol)
+		detected := pol.AQLController().Monitor.TypeOf(res.Deps[0].Dom.VCPUs[0])
 		out.Entries[i] = Table3Entry{
 			App:      app.Name,
 			Expected: app.Expected,

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"aqlsched/internal/baselines"
-	"aqlsched/internal/core"
 	"aqlsched/internal/hw"
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/sim"
@@ -34,7 +33,7 @@ func TestDynPhaseIsDynamic(t *testing.T) {
 // AQL must observe ground-truth flips and re-recognize most of them;
 // under a non-recognizing policy no adaptation record exists.
 func TestAdaptationTracksPhaseFlips(t *testing.T) {
-	res := scenario.Run(quickDynPhase(0xA91), baselines.AQL{Out: new(*core.Controller)})
+	res := scenario.Run(quickDynPhase(0xA91), &baselines.AQL{})
 	a := res.Adapt
 	if a == nil {
 		t.Fatal("no adaptation record under AQL")
@@ -149,7 +148,7 @@ func TestDynamicRunDeterminism(t *testing.T) {
 		spec := gen.MustGenerate()
 		spec.Warmup = 300 * sim.Millisecond
 		spec.Measure = 700 * sim.Millisecond
-		return scenario.Run(spec, baselines.AQL{Out: new(*core.Controller)})
+		return scenario.Run(spec, &baselines.AQL{})
 	}
 	a, b := run(), run()
 	if len(a.Apps) != len(b.Apps) {

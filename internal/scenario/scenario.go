@@ -202,7 +202,7 @@ func Run(spec Spec, pol Policy) *Result {
 	var tracker *adaptTracker
 	if spec.Dynamic() {
 		if cp, ok := pol.(ControllerProvider); ok {
-			if ctl := cp.AQLController(); ctl != nil && ctl.Monitor != nil {
+			if ctl := cp.AQLController(); ctl != nil {
 				tracker = newAdaptTracker(ctl, h, &deps, gone)
 				tracker.install()
 			}

@@ -17,16 +17,15 @@ type Sample struct {
 }
 
 // Monitor drives a Recognizer per vCPU off the hypervisor's counters.
-// Every Period it snapshots each vCPU's free-running counter block,
+// Every DefaultPeriod it snapshots each vCPU's free-running counter block,
 // computes the delta against the previous snapshot and feeds the
 // recognizer — exactly the three monitoring systems of Section 3.3.2
 // (event-channel analysis, PLE trapping, PMU reading), which the paper
 // measured to have negligible overhead.
 type Monitor struct {
-	H      *xen.Hypervisor
-	Period sim.Time
+	H *xen.Hypervisor
+	// Window is n, the sliding-window length of every recognizer.
 	Window int
-	Limits Limits
 
 	// OnPeriod, when set, runs after each monitoring period (the AQL
 	// controller hooks its decision cadence here).
@@ -39,14 +38,11 @@ type Monitor struct {
 	traced map[*xen.VCPU][]Sample
 }
 
-// NewMonitor builds a monitor with the default period, window and
-// limits.
-func NewMonitor(h *xen.Hypervisor) *Monitor {
+// NewMonitor builds a monitor over h with an n-period window.
+func NewMonitor(h *xen.Hypervisor, n int) *Monitor {
 	return &Monitor{
 		H:      h,
-		Period: DefaultPeriod,
-		Window: DefaultWindow,
-		Limits: DefaultLimits(),
+		Window: n,
 		recs:   make(map[*xen.VCPU]*Recognizer),
 		last:   make(map[*xen.VCPU]hw.Counters),
 		traced: make(map[*xen.VCPU][]Sample),
@@ -58,9 +54,9 @@ func (m *Monitor) Start() {
 	var tick func(now sim.Time)
 	tick = func(now sim.Time) {
 		m.sample(now)
-		m.H.Engine.After(m.Period, tick)
+		m.H.Engine.After(DefaultPeriod, tick)
 	}
-	m.H.Engine.After(m.Period, tick)
+	m.H.Engine.After(DefaultPeriod, tick)
 }
 
 // Trace enables per-period recording for a vCPU (Fig. 4).
@@ -79,7 +75,7 @@ func (m *Monitor) sample(now sim.Time) {
 		for _, v := range d.VCPUs {
 			rec, ok := m.recs[v]
 			if !ok {
-				rec = NewRecognizer(m.Limits, m.Window)
+				rec = NewRecognizer(m.Window)
 				m.recs[v] = rec
 			}
 			cur := v.Counters

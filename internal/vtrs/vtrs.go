@@ -25,43 +25,37 @@ const (
 	DefaultWindow = 4
 )
 
-// Limits are the normalization thresholds of equations (1)-(5). They
-// are calibration constants of the monitoring system: the value above
-// which a metric marks the vCPU as 100% of a type.
-type Limits struct {
-	// IOIntLimit: IO events per period making a vCPU fully IOInt.
-	IOIntLimit float64
+// The normalization thresholds of equations (1)-(5): calibration
+// constants of the monitoring system, each the value above which a
+// metric marks the vCPU as 100% of a type. They are typed float64 on
+// purpose: Recognizer.Observe halves them, and an untyped 1 would halve
+// to 0, not 0.5.
+const (
+	// IOIntLimit: IO events per period making a vCPU fully IOInt
+	// (≥ ~133 IO events/s).
+	IOIntLimit float64 = 4
 	// ConSpinLimit: spin-lock operations per period making it fully
-	// ConSpin (the hypercall-wrapper monitor).
-	ConSpinLimit float64
+	// ConSpin (the hypercall-wrapper monitor): any spin-lock use in a
+	// period marks it ConSpin.
+	ConSpinLimit float64 = 1
 	// PLELimit: PAUSE-loop exits per period making it fully ConSpin
-	// (the hardware monitor; Section 3.3.2 offers both and we take the
-	// stronger of the two signals — ops dominate under light contention,
-	// pauses under heavy contention).
-	PLELimit float64
+	// (the hardware monitor, ≥ ~94 µs of spinning per period; Section
+	// 3.3.2 offers both and we take the stronger of the two signals —
+	// ops dominate under light contention, pauses under heavy
+	// contention).
+	PLELimit float64 = 3000
 	// LLCRRLimit: the maximum LLC references-per-instruction ratio a
-	// LoLCF vCPU may generate (equation 3).
-	LLCRRLimit float64
+	// LoLCF vCPU may generate (equation 3): 0.2% of instructions
+	// referencing the LLC.
+	LLCRRLimit float64 = 0.002
 	// LLCMRLimit: the maximum LLC miss ratio an LLCF vCPU may generate
 	// (equation 4).
-	LLCMRLimit float64
+	LLCMRLimit float64 = 0.30
 	// MinInstructions gates the CPU-burn cursors: a period in which the
 	// vCPU barely ran carries no cache information and is skipped
 	// unless it carries IO or spin signal.
-	MinInstructions uint64
-}
-
-// DefaultLimits returns the thresholds used throughout the evaluation.
-func DefaultLimits() Limits {
-	return Limits{
-		IOIntLimit:      4,     // ≥ ~133 IO events/s -> fully IOInt
-		ConSpinLimit:    1,     // any spin-lock use in a period marks it ConSpin
-		PLELimit:        3000,  // ≥ ~94 µs of spinning per period
-		LLCRRLimit:      0.002, // 0.2% of instructions referencing LLC
-		LLCMRLimit:      0.30,  // 30% LLC miss ratio boundary
-		MinInstructions: 300_000,
-	}
-}
+	MinInstructions uint64 = 300_000
+)
 
 // Cursors holds the five per-period cursor values (percent, 0-100).
 // LoLCF + LLCF + LLCO always sum to 100 (equation 2).
@@ -89,9 +83,6 @@ func (c Cursors) Get(t vcputype.Type) float64 {
 // saturate implements equation (1): level scaled against a limit,
 // saturating at 100.
 func saturate(level, limit float64) float64 {
-	if limit <= 0 {
-		panic("vtrs: non-positive limit")
-	}
 	if level >= limit {
 		return 100
 	}
@@ -100,25 +91,23 @@ func saturate(level, limit float64) float64 {
 
 // Compute derives the five cursors from one period's counter delta,
 // following equations (1)-(5) of Section 3.3.1.
-func Compute(delta hw.Counters, lim Limits) Cursors {
+func Compute(delta hw.Counters) Cursors {
 	var c Cursors
 	// Equation (1) for IOInt and ConSpin.
-	c.IOInt = saturate(float64(delta.IOEvents), lim.IOIntLimit)
-	c.ConSpin = saturate(float64(delta.LockOps), lim.ConSpinLimit)
-	if lim.PLELimit > 0 {
-		if ple := saturate(float64(delta.PauseLoops), lim.PLELimit); ple > c.ConSpin {
-			c.ConSpin = ple
-		}
+	c.IOInt = saturate(float64(delta.IOEvents), IOIntLimit)
+	c.ConSpin = saturate(float64(delta.LockOps), ConSpinLimit)
+	if ple := saturate(float64(delta.PauseLoops), PLELimit); ple > c.ConSpin {
+		c.ConSpin = ple
 	}
 
 	// Equations (3)-(5) for the CPU-burn sub-types.
 	rr := delta.LLCRefRatio()
 	mr := delta.LLCMissRatio()
-	if rr < lim.LLCRRLimit {
-		c.LoLCF = (lim.LLCRRLimit - rr) * 100 / lim.LLCRRLimit
+	if rr < LLCRRLimit {
+		c.LoLCF = (LLCRRLimit - rr) * 100 / LLCRRLimit
 	}
-	if mr < lim.LLCMRLimit {
-		v := (lim.LLCMRLimit - mr) * 100 / lim.LLCMRLimit
+	if mr < LLCMRLimit {
+		v := (LLCMRLimit - mr) * 100 / LLCMRLimit
 		if rest := 100 - c.LoLCF; v > rest {
 			v = rest
 		}
@@ -138,7 +127,6 @@ const TieBand = 10.0
 
 // Recognizer is the per-vCPU sliding window of cursor samples.
 type Recognizer struct {
-	lim    Limits
 	window int
 	hist   []Cursors
 	next   int
@@ -146,24 +134,24 @@ type Recognizer struct {
 }
 
 // NewRecognizer builds a recognizer with the given window length.
-func NewRecognizer(lim Limits, window int) *Recognizer {
+func NewRecognizer(window int) *Recognizer {
 	if window <= 0 {
 		panic("vtrs: window must be positive")
 	}
-	return &Recognizer{lim: lim, window: window, hist: make([]Cursors, window)}
+	return &Recognizer{window: window, hist: make([]Cursors, window)}
 }
 
 // Observe feeds one period's counter delta. Periods carrying no signal
 // (the vCPU barely ran and produced no IO or spin events) are skipped so
 // a descheduled vCPU does not drift toward LoLCF.
 func (r *Recognizer) Observe(delta hw.Counters) {
-	if delta.Instructions < r.lim.MinInstructions &&
-		float64(delta.IOEvents) < r.lim.IOIntLimit/2 &&
-		float64(delta.LockOps) < r.lim.ConSpinLimit/2 &&
-		(r.lim.PLELimit <= 0 || float64(delta.PauseLoops) < r.lim.PLELimit/2) {
+	if delta.Instructions < MinInstructions &&
+		float64(delta.IOEvents) < IOIntLimit/2 &&
+		float64(delta.LockOps) < ConSpinLimit/2 &&
+		float64(delta.PauseLoops) < PLELimit/2 {
 		return
 	}
-	r.hist[r.next] = Compute(delta, r.lim)
+	r.hist[r.next] = Compute(delta)
 	r.next = (r.next + 1) % r.window
 	if r.filled < r.window {
 		r.filled++

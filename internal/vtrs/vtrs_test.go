@@ -31,12 +31,11 @@ func lolcfDelta() hw.Counters {
 }
 
 func TestCursorsSumInvariant(t *testing.T) {
-	lim := DefaultLimits()
 	for name, d := range map[string]hw.Counters{
 		"io": ioDelta(), "spin": spinDelta(), "llcf": llcfDelta(),
 		"llco": llcoDelta(), "lolcf": lolcfDelta(),
 	} {
-		c := Compute(d, lim)
+		c := Compute(d)
 		sum := c.LoLCF + c.LLCF + c.LLCO
 		if math.Abs(sum-100) > 1e-9 {
 			t.Errorf("%s: CPU-burn cursors sum to %.4f, want 100 (equation 2)", name, sum)
@@ -45,7 +44,6 @@ func TestCursorsSumInvariant(t *testing.T) {
 }
 
 func TestComputeRecognizesEachType(t *testing.T) {
-	lim := DefaultLimits()
 	cases := []struct {
 		name  string
 		delta hw.Counters
@@ -58,7 +56,7 @@ func TestComputeRecognizesEachType(t *testing.T) {
 		{"LoLCF", lolcfDelta(), vcputype.LoLCF},
 	}
 	for _, tc := range cases {
-		r := NewRecognizer(lim, 4)
+		r := NewRecognizer(4)
 		for i := 0; i < 4; i++ {
 			r.Observe(tc.delta)
 		}
@@ -69,9 +67,8 @@ func TestComputeRecognizesEachType(t *testing.T) {
 }
 
 func TestSaturationAtLimit(t *testing.T) {
-	lim := DefaultLimits()
-	d := hw.Counters{Instructions: 1_000_000, IOEvents: uint64(lim.IOIntLimit * 10)}
-	c := Compute(d, lim)
+	d := hw.Counters{Instructions: 1_000_000, IOEvents: uint64(IOIntLimit * 10)}
+	c := Compute(d)
 	if c.IOInt != 100 {
 		t.Errorf("IOInt cursor %v above limit, want 100", c.IOInt)
 	}
@@ -80,7 +77,7 @@ func TestSaturationAtLimit(t *testing.T) {
 func TestTypeChangeTracksWindow(t *testing.T) {
 	// A vCPU that switches from LLCF to LLCO behaviour should be
 	// re-typed after the window refills (the paper's dynamic vTRS).
-	r := NewRecognizer(DefaultLimits(), 4)
+	r := NewRecognizer(4)
 	for i := 0; i < 8; i++ {
 		r.Observe(llcfDelta())
 	}
@@ -98,7 +95,7 @@ func TestTypeChangeTracksWindow(t *testing.T) {
 func TestIdlePeriodsAreSkipped(t *testing.T) {
 	// Zero-delta periods (descheduled vCPU) must not push the window
 	// toward LoLCF.
-	r := NewRecognizer(DefaultLimits(), 4)
+	r := NewRecognizer(4)
 	for i := 0; i < 4; i++ {
 		r.Observe(llcfDelta())
 	}
@@ -112,7 +109,7 @@ func TestIdlePeriodsAreSkipped(t *testing.T) {
 
 func TestIOSignalCountsEvenWithoutCompute(t *testing.T) {
 	// An IO vCPU that barely computes still gets typed via its events.
-	r := NewRecognizer(DefaultLimits(), 4)
+	r := NewRecognizer(4)
 	d := hw.Counters{Instructions: 50_000, IOEvents: 20}
 	for i := 0; i < 4; i++ {
 		r.Observe(d)
@@ -123,7 +120,7 @@ func TestIOSignalCountsEvenWithoutCompute(t *testing.T) {
 }
 
 func TestDefaultTypeIsLoLCF(t *testing.T) {
-	r := NewRecognizer(DefaultLimits(), 4)
+	r := NewRecognizer(4)
 	if r.Type() != vcputype.LoLCF {
 		t.Errorf("unobserved vCPU typed %v, want LoLCF", r.Type())
 	}
@@ -136,7 +133,7 @@ func TestMixedIOAndTrashingIsIOIntWithHighLLCO(t *testing.T) {
 	// The IOInt+ profile of Section 3.5: an IO vCPU whose CPU work
 	// trashes the LLC. Type stays IOInt; the LLCO cursor (used by the
 	// first-level clustering) must be high.
-	r := NewRecognizer(DefaultLimits(), 4)
+	r := NewRecognizer(4)
 	d := llcoDelta()
 	d.IOEvents = 20
 	for i := 0; i < 4; i++ {
@@ -153,7 +150,6 @@ func TestMixedIOAndTrashingIsIOIntWithHighLLCO(t *testing.T) {
 // Property: cursors are always within [0, 100] and the CPU-burn cursors
 // sum to 100, for arbitrary counter deltas.
 func TestCursorBoundsProperty(t *testing.T) {
-	lim := DefaultLimits()
 	f := func(instr uint32, refs uint32, missFrac uint8, io uint16, pause uint32) bool {
 		d := hw.Counters{
 			Instructions:  uint64(instr),
@@ -162,7 +158,7 @@ func TestCursorBoundsProperty(t *testing.T) {
 			IOEvents:      uint64(io),
 			PauseLoops:    uint64(pause),
 		}
-		c := Compute(d, lim)
+		c := Compute(d)
 		for _, v := range []float64{c.IOInt, c.ConSpin, c.LoLCF, c.LLCF, c.LLCO} {
 			if v < -1e-9 || v > 100+1e-9 {
 				return false
@@ -178,12 +174,11 @@ func TestCursorBoundsProperty(t *testing.T) {
 // Property: recognizer averages are convex combinations of observed
 // cursors, hence bounded by [0,100] too.
 func TestAverageBoundsProperty(t *testing.T) {
-	lim := DefaultLimits()
 	f := func(seeds []uint32) bool {
-		r := NewRecognizer(lim, 4)
+		r := NewRecognizer(4)
 		for _, s := range seeds {
 			d := hw.Counters{
-				Instructions:  uint64(s%10_000_000) + uint64(lim.MinInstructions),
+				Instructions:  uint64(s%10_000_000) + MinInstructions,
 				LLCReferences: uint64(s % 500_000),
 				LLCMisses:     uint64(s % 100_000),
 				IOEvents:      uint64(s % 50),
