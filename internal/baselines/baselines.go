@@ -51,14 +51,7 @@ func (f FixedQuantum) Name() string {
 
 // Setup implements the scenario policy interface.
 func (f FixedQuantum) Setup(h *xen.Hypervisor, deps []*workload.Deployment) {
-	pool := xen.NewCPUPool("all", f.Q, h.GuestPCPUs())
-	plan := &xen.PoolPlan{Pools: []*xen.CPUPool{pool}, Assign: map[*xen.VCPU]*xen.CPUPool{}}
-	for _, v := range h.AllVCPUs() {
-		plan.Assign[v] = pool
-	}
-	if err := h.ApplyPlan(plan, h.Engine.Now()); err != nil {
-		panic("baselines: " + err.Error())
-	}
+	applyPools(h, deps, xen.NewCPUPool("all", f.Q, h.GuestPCPUs()))
 }
 
 // Microsliced is [6]: shorten the quantum for everyone. The paper
@@ -84,20 +77,9 @@ func (VTurbo) Setup(h *xen.Hypervisor, deps []*workload.Deployment) {
 	if len(guest) < 2 {
 		panic("baselines: vTurbo would take every pCPU")
 	}
-	turbo := xen.NewCPUPool("turbo", 1*sim.Millisecond, guest[:1])
-	normal := xen.NewCPUPool("normal", xen.DefaultSlice, guest[1:])
-	plan := &xen.PoolPlan{Pools: []*xen.CPUPool{turbo, normal}, Assign: map[*xen.VCPU]*xen.CPUPool{}}
-	io := ioVCPUs(deps)
-	for _, vc := range h.AllVCPUs() {
-		if io[vc] {
-			plan.Assign[vc] = turbo
-		} else {
-			plan.Assign[vc] = normal
-		}
-	}
-	if err := h.ApplyPlan(plan, h.Engine.Now()); err != nil {
-		panic("baselines: " + err.Error())
-	}
+	applyPools(h, deps,
+		xen.NewCPUPool("turbo", 1*sim.Millisecond, guest[:1]),
+		xen.NewCPUPool("normal", xen.DefaultSlice, guest[1:]))
 }
 
 // VSlicer is [15]: latency-sensitive vCPUs are sliced at a smaller
@@ -159,6 +141,24 @@ func (a *AQL) Setup(h *xen.Hypervisor, deps []*workload.Deployment) {
 // controller the last Setup built, so the adaptation tracker can read
 // recognized types. Nil until Setup runs.
 func (a *AQL) AQLController() *core.Controller { return a.ctl }
+
+// applyPools puts every vCPU of h into pools and applies the plan: with
+// one pool, all of them; with two, the IO-intensive vCPUs into the first
+// and the rest into the second.
+func applyPools(h *xen.Hypervisor, deps []*workload.Deployment, pools ...*xen.CPUPool) {
+	io := ioVCPUs(deps)
+	plan := &xen.PoolPlan{Pools: pools, Assign: map[*xen.VCPU]*xen.CPUPool{}}
+	for _, v := range h.AllVCPUs() {
+		p := pools[len(pools)-1]
+		if io[v] {
+			p = pools[0]
+		}
+		plan.Assign[v] = p
+	}
+	if err := h.ApplyPlan(plan, h.Engine.Now()); err != nil {
+		panic("baselines: " + err.Error())
+	}
+}
 
 // ioVCPUs marks the vCPUs of IO-intensive deployments (manual
 // configuration, as the paper did for the baselines).

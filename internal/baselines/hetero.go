@@ -77,20 +77,9 @@ func (p *HeteroAQL) Setup(h *xen.Hypervisor, deps []*workload.Deployment) {
 			rest = append(rest, pc)
 		}
 	}
-	fastPool := xen.NewCPUPool("fast", p.fastQ(), fast)
-	slowPool := xen.NewCPUPool("slow", xen.DefaultSlice, rest)
-	plan := &xen.PoolPlan{Pools: []*xen.CPUPool{fastPool, slowPool}, Assign: map[*xen.VCPU]*xen.CPUPool{}}
-	io := ioVCPUs(deps)
-	for _, vc := range h.AllVCPUs() {
-		if io[vc] {
-			plan.Assign[vc] = fastPool
-		} else {
-			plan.Assign[vc] = slowPool
-		}
-	}
-	if err := h.ApplyPlan(plan, h.Engine.Now()); err != nil {
-		panic("baselines: " + err.Error())
-	}
+	applyPools(h, deps,
+		xen.NewCPUPool("fast", p.fastQ(), fast),
+		xen.NewCPUPool("slow", xen.DefaultSlice, rest))
 }
 
 // AQLController implements scenario.ControllerProvider for the
@@ -128,14 +117,7 @@ func (e EDF) Quantum() sim.Time {
 
 // Setup implements the scenario policy interface.
 func (e *EDF) Setup(h *xen.Hypervisor, deps []*workload.Deployment) {
-	pool := xen.NewCPUPool("edf", e.Quantum(), h.GuestPCPUs())
-	plan := &xen.PoolPlan{Pools: []*xen.CPUPool{pool}, Assign: map[*xen.VCPU]*xen.CPUPool{}}
-	for _, v := range h.AllVCPUs() {
-		plan.Assign[v] = pool
-	}
-	if err := h.ApplyPlan(plan, h.Engine.Now()); err != nil {
-		panic("baselines: " + err.Error())
-	}
+	applyPools(h, deps, xen.NewCPUPool("edf", e.Quantum(), h.GuestPCPUs()))
 	e.misses, e.dispatches = 0, 0
 	h.OnDispatch = func(_ *xen.VCPU, wait, _ sim.Time) {
 		e.dispatches++

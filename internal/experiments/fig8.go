@@ -3,7 +3,6 @@ package experiments
 import (
 	"sort"
 
-	"aqlsched/internal/catalog"
 	"aqlsched/internal/report"
 	"aqlsched/internal/sweep"
 )
@@ -24,25 +23,14 @@ type Fig8Result struct {
 	Norm map[string]map[string]float64
 }
 
-// Fig8Sweep declares the comparison: scenario S5 under the default Xen
-// scheduler (the baseline) and the four contenders.
+// Fig8Sweep declares the comparison: the built-in fig8 sweep (scenario
+// S5 under the default Xen scheduler, the baseline, and the four
+// contenders) at cfg's seed and windows.
 func Fig8Sweep(cfg Config) *sweep.Spec {
-	warm, meas := cfg.windows()
-	return &sweep.Spec{
-		Name:      "fig8",
-		Scenarios: []sweep.Scenario{mustScenario("S5")},
-		Policies: []sweep.Policy{
-			catalog.XenPolicy(),
-			catalog.VTurboPolicy(),
-			catalog.MicroslicedPolicy(),
-			catalog.VSlicerPolicy(),
-			catalog.AQLPolicy(),
-		},
-		Baseline: catalog.XenPolicy().Name,
-		BaseSeed: cfg.seed(),
-		Warmup:   warm,
-		Measure:  meas,
-	}
+	sp, _ := sweep.Builtin("fig8")
+	sp.BaseSeed = cfg.seed()
+	sp.Warmup, sp.Measure = cfg.windows()
+	return sp
 }
 
 // Fig8 runs S5 under vTurbo, Microsliced, vSlicer and AQL_Sched,
