@@ -67,9 +67,13 @@ type VCPU struct {
 	dispatchedAt  sim.Time
 	sliceEnd      sim.Time
 	runnableSince sim.Time
-	burst         *burst
-	everRan       bool
-	destroyed     bool
+	// burst points at slot while a burst is in flight. The slot keeps
+	// its last burst's pointers until the next one: clearing them would
+	// cost write-barrier stores on every burst end.
+	burst     *burst
+	slot      burst
+	everRan   bool
+	destroyed bool
 
 	// RunTime accumulates total time spent Running (fairness checks).
 	RunTime sim.Time

@@ -21,9 +21,9 @@ const (
 // burst is the in-flight execution of one guest step on a pCPU. Compute
 // bursts are planned eagerly through the cache model; if preempted
 // mid-way they are rolled back and re-run with the actually elapsed
-// budget (the insertion clock is additive, so this is exact). Finished
-// bursts return to the hypervisor's free-list, so steady-state dispatch
-// allocates nothing.
+// budget (the insertion clock is additive, so this is exact). A vCPU
+// runs at most one burst at a time, so each vCPU keeps its burst in its
+// own slot and steady-state dispatch allocates nothing.
 type burst struct {
 	kind     burstKind
 	thread   *guest.Thread
@@ -34,7 +34,6 @@ type burst struct {
 	planned  cache.BurstResult
 	fpBefore cache.Footprint
 	coreWas  *cache.Footprint
-	next     *burst // free-list link, nil while in flight
 }
 
 // Hypervisor owns the machine, the domains, the pools and the dispatch
@@ -56,8 +55,7 @@ type Hypervisor struct {
 	pools   []*CPUPool
 	running []*VCPU
 
-	allVCPUs  []*VCPU // cached AllVCPUs slice, appended on CreateDomain
-	burstFree *burst  // free-list of recycled burst structs
+	allVCPUs []*VCPU // cached AllVCPUs slice, appended on CreateDomain
 
 	// speed caches each pCPU's core-class speed factor. It stays nil on
 	// homogeneous machines, so the dispatch hot path does no float work
@@ -191,28 +189,6 @@ func (h *Hypervisor) AllVCPUs() []*VCPU { return h.allVCPUs }
 // fork labels (and therefore every static scenario) byte-identical.
 func (h *Hypervisor) DomainsEverCreated() int { return h.nextDomID }
 
-// getBurst pops a recycled burst from the free-list (or allocates the
-// first time a new depth of in-flight bursts is reached).
-func (h *Hypervisor) getBurst() *burst {
-	b := h.burstFree
-	if b == nil {
-		return &burst{}
-	}
-	h.burstFree = b.next
-	b.next = nil
-	return b
-}
-
-// putBurst recycles a finished burst. The caller must have dropped every
-// reference to it. Only its pointers are cleared, so a recycled burst
-// keeps no destroyed domain's thread alive; runBurstWithOverhead writes
-// every other field a burst of its kind is read for.
-func (h *Hypervisor) putBurst(b *burst) {
-	b.thread, b.prof, b.coreWas = nil, nil, nil
-	b.next = h.burstFree
-	h.burstFree = b
-}
-
 // CreateDomain builds a domain with ncpu vCPUs, all initially blocked
 // (they wake when the guest spawns threads on them). weight follows the
 // Credit scheduler convention (256 default); cap is a percentage of one
@@ -333,7 +309,6 @@ func (h *Hypervisor) kick(v *VCPU, now sim.Time) {
 	v.burst = nil
 	v.endBurst.Stop()
 	h.settleBurst(v, b, now)
-	h.putBurst(b)
 	h.runBurst(v, now)
 }
 
@@ -412,7 +387,7 @@ func (h *Hypervisor) runBurstWithOverhead(v *VCPU, now sim.Time, overhead sim.Ti
 		h.blockVCPU(v, now)
 	case guest.StepRun:
 		budget := v.sliceEnd - now - overhead
-		b := h.getBurst()
+		b := &v.slot
 		b.kind = burstRun
 		b.thread = step.Thread
 		b.prof = step.Prof
@@ -440,7 +415,7 @@ func (h *Hypervisor) runBurstWithOverhead(v *VCPU, now sim.Time, overhead sim.Ti
 		step.Thread.OnCPU = true
 		v.endBurst.Arm(now + overhead + wall)
 	case guest.StepSpin:
-		b := h.getBurst()
+		b := &v.slot
 		b.kind = burstSpin
 		b.thread = step.Thread
 		b.start = now
@@ -471,7 +446,6 @@ func (h *Hypervisor) burstEnded(v *VCPU, b *burst, now sim.Time) {
 			v.Counters.Add(cache.SpinCounters(h.refElapsed(v.pcpu, d)))
 		}
 	}
-	h.putBurst(b)
 	if now >= v.sliceEnd {
 		h.endSlice(v, now)
 		return
@@ -515,7 +489,6 @@ func (h *Hypervisor) stopRunning(v *VCPU, now sim.Time) {
 		v.burst = nil
 		v.endBurst.Stop()
 		h.settleBurst(v, b, now)
-		h.putBurst(b)
 	}
 	v.RunTime += now - v.dispatchedAt
 	h.running[v.pcpu] = nil
