@@ -53,6 +53,7 @@ import (
 	"time"
 
 	"aqlsched/internal/catalog"
+	"aqlsched/internal/fleet"
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/sweep"
 )
@@ -265,12 +266,8 @@ func printCatalog(w io.Writer) {
 		}
 	}
 
-	// Axes registered by layers above the core catalog (the fleet's
-	// placement policies, and whatever comes next).
-	for _, ax := range catalog.ExtraAxes() {
-		fmt.Fprintf(w, "\n%s (for {\"fleet\": {...}} scenario entries):\n", ax.Kind)
-		fmt.Fprintf(w, "  %s\n", strings.Join(ax.Names, " "))
-	}
+	fmt.Fprintln(w, "\nplacements (for {\"fleet\": {...}} scenario entries):")
+	fmt.Fprintf(w, "  %s\n", strings.Join(fleet.Placements.Names(), " "))
 
 	fmt.Fprintln(w, "\nbuilt-in sweeps:")
 	for _, n := range sweep.BuiltinNames() {

@@ -149,57 +149,12 @@ func WorkloadByName(name string) (workload.AppSpec, error) {
 // grammar, the spec-file {"policy": ...} block, and the -list
 // documentation all derive.
 
-// --- Extra axes ------------------------------------------------------------
-//
-// Layers above the catalog (the fleet's placement policies) own their
-// registries but still want their names discoverable next to the core
-// axes. RegisterAxis hooks a name lister under an axis kind; aqlsweep
-// -list walks ExtraAxes so new axes show up without the catalog
-// importing their packages (which would cycle).
-
-type extraAxis struct {
-	kind  string
-	names func() []string
-}
-
-var (
-	axisMu sync.RWMutex
-	axes   []extraAxis
-)
-
-// RegisterAxis publishes an additional catalog axis: kind labels it in
-// listings ("placements"), names lists its valid entries. Registered
-// once per kind, from init functions.
-func RegisterAxis(kind string, names func() []string) {
-	if kind == "" || names == nil {
-		panic("catalog: RegisterAxis needs a kind and a lister")
-	}
-	axisMu.Lock()
-	defer axisMu.Unlock()
-	for _, a := range axes {
-		if a.kind == kind {
-			panic(fmt.Sprintf("catalog: axis %q registered twice", kind))
-		}
-	}
-	axes = append(axes, extraAxis{kind: kind, names: names})
-}
-
-// ExtraAxis is one published additional axis.
+// ExtraAxis is an axis a layer above the catalog owns (the fleet's
+// placement policies): the catalog cannot import those packages without
+// a cycle, so their callers pass them to Document.
 type ExtraAxis struct {
 	Kind  string   `json:"kind"`
 	Names []string `json:"names"`
-}
-
-// ExtraAxes lists the registered additional axes in registration order,
-// with their current names resolved.
-func ExtraAxes() []ExtraAxis {
-	axisMu.RLock()
-	defer axisMu.RUnlock()
-	out := make([]ExtraAxis, 0, len(axes))
-	for _, a := range axes {
-		out = append(out, ExtraAxis{Kind: a.kind, Names: a.names()})
-	}
-	return out
 }
 
 // --- Metrics ---------------------------------------------------------------

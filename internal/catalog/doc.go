@@ -3,7 +3,7 @@ package catalog
 // Self-documentation: one JSON-serializable Document describing every
 // experiment axis the catalog knows — scenarios, workloads, machines,
 // policy plugins with their typed knobs, metrics, and any extra axes
-// registered by higher layers. aqlsweepd serves it as GET /v1/catalog
+// its caller owns. aqlsweepd serves it as GET /v1/catalog
 // so clients can discover valid spec-file names without a binary in
 // hand; aqlsweep -list renders the same registries as text.
 
@@ -25,16 +25,17 @@ type Doc struct {
 	Axes       []ExtraAxis  `json:"axes,omitempty"`
 }
 
-// Document snapshots every registry into one serializable Doc. Name
-// lists are sorted, policies sort by canonical name, metrics keep
-// registration order (the artifact column order).
-func Document() Doc {
+// Document snapshots every registry, plus the extra axes given, into
+// one serializable Doc. Name lists are sorted, policies sort by
+// canonical name, metrics keep registration order (the artifact column
+// order).
+func Document(extra ...ExtraAxis) Doc {
 	doc := Doc{
 		Scenarios:  Scenarios.Names(),
 		Workloads:  Workloads.Names(),
 		Topologies: Topologies.Names(),
 		Policies:   PolicyPlugins(),
-		Axes:       ExtraAxes(),
+		Axes:       extra,
 	}
 	for _, d := range MetricDescs() {
 		doc.Metrics = append(doc.Metrics, MetricDoc{Schema: d.Schema(), Primary: d.Primary})

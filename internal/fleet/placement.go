@@ -25,7 +25,6 @@ func init() {
 	Placements.Register("least-loaded", func() Placement { return leastLoaded{} })
 	Placements.Register("bin-pack", func() Placement { return binPack{} })
 	Placements.Register("tenant-fairshare", func() Placement { return fairShare{} })
-	catalog.RegisterAxis("placements", Placements.Names)
 }
 
 // PlacementByName resolves a placement policy, with the registry's

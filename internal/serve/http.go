@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"aqlsched/internal/catalog"
+	"aqlsched/internal/fleet"
 	"aqlsched/internal/sweep"
 )
 
@@ -207,11 +208,12 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCatalog serves the experiment-axis self-documentation plus the
-// built-in sweep names (added here — the catalog package cannot import
-// sweep without a cycle).
+// fleet placements and the built-in sweep names (added here — the
+// catalog package cannot import fleet or sweep without a cycle).
 func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
+	placements := catalog.ExtraAxis{Kind: "placements", Names: fleet.Placements.Names()}
 	writeJSON(w, http.StatusOK, struct {
 		catalog.Doc
 		BuiltinSweeps []string `json:"builtin_sweeps"`
-	}{catalog.Document(), sweep.BuiltinNames()})
+	}{catalog.Document(placements), sweep.BuiltinNames()})
 }
