@@ -119,25 +119,21 @@ type Report struct {
 	AgnosticTypes []vcputype.Type
 }
 
-// Options configure a calibration run.
+// Repeats is the number of seeds each point averages over: consolidated
+// schedules are bistable (aligned vs. convoyed gangs) and single runs
+// sample alignment luck, exactly like single runs on real hardware.
+const Repeats = 3
+
+// Options configure a calibration run on the paper's i7-3770.
 type Options struct {
-	Topo *hw.Topology
 	// PerPCPU lists the consolidation ratios to sweep (default {2,4}).
 	PerPCPU []int
 	// Warmup and Measure default to 1s and 3s.
 	Warmup, Measure sim.Time
 	Seed            uint64
-	// Repeats averages each point over several seeds (default 3):
-	// consolidated schedules are bistable (aligned vs. convoyed gangs)
-	// and single runs sample alignment luck, exactly like single runs
-	// on real hardware.
-	Repeats int
 }
 
 func (o *Options) fill() {
-	if o.Topo == nil {
-		o.Topo = hw.I73770()
-	}
 	if len(o.PerPCPU) == 0 {
 		o.PerPCPU = []int{2, 4}
 	}
@@ -150,20 +146,18 @@ func (o *Options) fill() {
 	if o.Seed == 0 {
 		o.Seed = 0xCA11B
 	}
-	if o.Repeats <= 0 {
-		o.Repeats = 3
-	}
 }
 
 // Colo builds the paper's standard measurement environment for one
-// application (Sections 3.4.1 and 4.1) on o.Topo, with o's windows and
-// seed: the subject VM colocated with disturber VMs so that k vCPUs
+// application (Sections 3.4.1 and 4.1) on a fresh i7-3770, with o's
+// windows and seed: the subject VM colocated with disturber VMs so that k vCPUs
 // share each pCPU. The subject gets one pCPU per vCPU, and each pCPU
 // k-1 disturbers, alternating trashing and low-footprint workloads
 // ("various workload types", Section 3.4.1) with job sizes varied per
 // instance so rotation periods decorrelate. Calibration and the
 // colocation experiments both measure here.
 func Colo(subject workload.AppSpec, k int, o Options) scenario.Spec {
+	topo := hw.I73770()
 	pcpus := scenario.VCPUsOf(subject)
 	ids := make([]hw.PCPUID, pcpus)
 	for i := range ids {
@@ -171,9 +165,9 @@ func Colo(subject workload.AppSpec, k int, o Options) scenario.Spec {
 	}
 	apps := []scenario.Entry{{Spec: subject, Count: 1}}
 	for i := 0; i < (k-1)*pcpus; i++ {
-		d := workload.MicroListWalk(o.Topo, vcputype.LLCO)
+		d := workload.MicroListWalk(topo, vcputype.LLCO)
 		if i%2 == 1 {
-			d = workload.MicroListWalk(o.Topo, vcputype.LoLCF)
+			d = workload.MicroListWalk(topo, vcputype.LoLCF)
 		}
 		d.Steady = false // disturbers keep housekeeping pauses: schedule drift
 		d.JobWork += sim.Time(i%5) * 1700 * sim.Microsecond
@@ -181,7 +175,7 @@ func Colo(subject workload.AppSpec, k int, o Options) scenario.Spec {
 	}
 	return scenario.Spec{
 		Name:       fmt.Sprintf("colo-%s-k%d", subject.Name, k),
-		Topo:       o.Topo,
+		Topo:       topo,
 		GuestPCPUs: ids,
 		Apps:       apps,
 		Warmup:     o.Warmup,
@@ -213,8 +207,8 @@ var lockQuanta = []sim.Time{20 * sim.Millisecond, 40 * sim.Millisecond, 60 * sim
 // the report is bit-identical at any worker count.
 func Run(o Options) *Report {
 	o.fill()
-	cases, quanta := Cases(o.Topo), Quanta()
-	nq, nk, nr := len(quanta), len(o.PerPCPU), o.Repeats
+	cases, quanta := Cases(hw.I73770()), Quanta()
+	nq, nk, nr := len(quanta), len(o.PerPCPU), Repeats
 	// Curve run (case c, quantum qi, ratio ki, repeat r) is index
 	// ((c*nq+qi)*nk+ki)*nr+r; the lock runs (quantum li, repeat r)
 	// follow at curveRuns+li*nr+r.
@@ -294,7 +288,7 @@ func Run(o Options) *Report {
 	})
 
 	// Lock-duration sweep (Fig. 2 rightmost): kernbench, 4 vCPUs per
-	// pCPU, the mean and worst spin-lock hold aggregated over o.Repeats
+	// pCPU, the mean and worst spin-lock hold aggregated over Repeats
 	// seeds.
 	for li, q := range lockQuanta {
 		var all lockHolds

@@ -27,7 +27,6 @@ package experiments
 import (
 	"aqlsched/internal/calib"
 	"aqlsched/internal/catalog"
-	"aqlsched/internal/hw"
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/sim"
 	"aqlsched/internal/sweep"
@@ -94,5 +93,5 @@ func (c Config) windows() (sim.Time, sim.Time) {
 // seed.
 func Colo(app workload.AppSpec, k int, cfg Config) scenario.Spec {
 	warm, meas := cfg.windows()
-	return calib.Colo(app, k, calib.Options{Topo: hw.I73770(), Warmup: warm, Measure: meas, Seed: cfg.seed()})
+	return calib.Colo(app, k, calib.Options{Warmup: warm, Measure: meas, Seed: cfg.seed()})
 }

@@ -191,7 +191,7 @@ type adaptTracker struct {
 	ctl  *core.Controller
 	h    *xen.Hypervisor
 	deps *[]*workload.Deployment
-	gone map[*workload.Deployment]departInfo
+	gone map[*workload.Deployment]metrics.JobSnapshot // departed VMs' final snapshots
 
 	vms   []*vmTrack
 	byDep map[*workload.Deployment]*vmTrack
@@ -203,12 +203,7 @@ type adaptTracker struct {
 	migrations uint64
 }
 
-type departInfo struct {
-	at   sim.Time
-	snap metrics.JobSnapshot
-}
-
-func newAdaptTracker(ctl *core.Controller, h *xen.Hypervisor, deps *[]*workload.Deployment, gone map[*workload.Deployment]departInfo) *adaptTracker {
+func newAdaptTracker(ctl *core.Controller, h *xen.Hypervisor, deps *[]*workload.Deployment, gone map[*workload.Deployment]metrics.JobSnapshot) *adaptTracker {
 	return &adaptTracker{
 		ctl:   ctl,
 		h:     h,

@@ -174,7 +174,7 @@ func Run(spec Spec, pol Policy) *Result {
 	// VM churn: arrivals deploy (and, with a lifetime, depart) while
 	// the run is underway. Everything is scheduled up front so the
 	// whole lifecycle is a pure function of the spec and seed.
-	gone := map[*workload.Deployment]departInfo{}
+	gone := map[*workload.Deployment]metrics.JobSnapshot{}
 	for i, a := range spec.Arrivals {
 		a := a
 		inst := fmt.Sprintf("a%d", i+1)
@@ -188,7 +188,7 @@ func Run(spec Spec, pol Policy) *Result {
 			if a.Lifetime > 0 {
 				h.Engine.At(now+a.Lifetime, func(end sim.Time) {
 					d.Stop()
-					gone[d] = departInfo{at: end, snap: d.Snapshot(end)}
+					gone[d] = d.Snapshot(end)
 					h.DestroyDomain(d.Dom, end)
 				})
 			}
@@ -210,16 +210,13 @@ func Run(spec Spec, pol Policy) *Result {
 	}
 
 	h.Run(spec.Warmup)
-	type snap struct {
-		jobs metrics.JobSnapshot
-	}
-	snaps := map[*workload.Deployment]snap{}
+	snaps := map[*workload.Deployment]metrics.JobSnapshot{}
 	for _, d := range deps {
 		if _, departed := gone[d]; departed {
 			continue
 		}
 		d.ResetLatencies()
-		snaps[d] = snap{jobs: d.Snapshot(h.Engine.Now())}
+		snaps[d] = d.Snapshot(h.Engine.Now())
 	}
 	if tracker != nil {
 		tracker.markMeasureStart()
@@ -292,13 +289,13 @@ func Run(spec Spec, pol Policy) *Result {
 			// and/or to departure.
 			start, ok := snaps[d]
 			if !ok {
-				start = snap{jobs: metrics.JobSnapshot{At: d.DeployedAt}}
+				start = metrics.JobSnapshot{At: d.DeployedAt}
 			}
 			end := d.Snapshot(h.Engine.Now())
-			if di, departed := gone[d]; departed {
-				end = di.snap
+			if snap, departed := gone[d]; departed {
+				end = snap
 			}
-			rate := metrics.Rate(start.jobs, end)
+			rate := metrics.Rate(start, end)
 			st.probe.rate += rate
 			if rate > 0 {
 				vm.Metrics.Put(MTimePerJob, 1/rate)
