@@ -150,9 +150,9 @@ func (o *Options) fill() {
 
 // Colo builds the paper's standard measurement environment for one
 // application (Sections 3.4.1 and 4.1) on a fresh i7-3770, with o's
-// windows and seed: the subject VM colocated with disturber VMs so that k vCPUs
-// share each pCPU. The subject gets one pCPU per vCPU, and each pCPU
-// k-1 disturbers, alternating trashing and low-footprint workloads
+// windows and seed: the subject VM colocated with disturber VMs so that
+// k vCPUs share each pCPU. The subject gets one pCPU per vCPU, and each
+// pCPU k-1 disturbers, alternating trashing and low-footprint workloads
 // ("various workload types", Section 3.4.1) with job sizes varied per
 // instance so rotation periods decorrelate. Calibration and the
 // colocation experiments both measure here.
