@@ -26,8 +26,8 @@ func BenchmarkDispatchComputeBursts(b *testing.B) {
 
 // BenchmarkDispatchKickChurn exercises the preemption path: spin-lock
 // contention between two vCPUs causes continuous kick → settle →
-// rollback → re-dispatch cycles (the allocation-heavy path before the
-// burst free-list).
+// rollback → re-dispatch cycles (the allocation-heavy path before
+// bursts were reused; each vCPU now keeps its own).
 func BenchmarkDispatchKickChurn(b *testing.B) {
 	h, _ := newTestHyp(2)
 	d := h.CreateDomain("vm", 0, 0, 2)
