@@ -35,24 +35,23 @@ func checkSpecErrors(t *testing.T, cases []specErrorCase) {
 
 // TestResolvedSpecsGolden pins what the spec-file parser resolves, not
 // just what the simulator then computes: every axis point of every
-// examples/specs file, dumped field by field, plus the accept/reject
-// verdict (and, when accepted, the resolved values) of every fuzz seed
-// and spec-file error case. A schema refactor must leave the file
-// byte-identical. Regenerate an intentional change with:
+// built-in sweep, dumped field by field under a header carrying the
+// built-in's manifest fingerprint and run count (what a journal written
+// for it records), plus the accept/reject verdict (and, when accepted,
+// the resolved values) of every fuzz seed and spec-file error case. A
+// schema refactor must leave the file byte-identical. Regenerate an
+// intentional change with:
 //
 //	go test ./internal/sweep/ -run ResolvedSpecsGolden -update-golden
 func TestResolvedSpecsGolden(t *testing.T) {
 	var buf bytes.Buffer
-	files, err := filepath.Glob("../../examples/specs/*.json")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no example specs: %v", err)
-	}
-	for _, p := range files {
-		fmt.Fprintf(&buf, "== file %s\n", filepath.Base(p))
-		spec, err := Load(p)
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
+	for _, name := range BuiltinNames() {
+		spec, ok := Builtin(name)
+		if !ok {
+			t.Fatalf("built-in %q listed but not found", name)
 		}
+		m := NewManifest(spec, nil, name)
+		fmt.Fprintf(&buf, "== builtin %s fingerprint=%s runs=%d\n", name, m.Fingerprint, m.Runs)
 		dumpResolved(&buf, spec)
 	}
 	for i, s := range fuzzSeedSpecs {
