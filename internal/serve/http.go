@@ -117,7 +117,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // start; anything lower is a 400) — the cursor survives client
 // reconnects and daemon restarts because the order is a pure function
 // of the (deterministic) run matrix. The stream follows a live job
-// until it reaches a terminal state, then ends.
+// until it reaches a terminal state, then ends. A checkpoint it cannot
+// read ends it early with one {"error": "run <index>: <cause>"} line.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	after := -1
@@ -147,6 +148,10 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 			line, err := os.ReadFile(sweep.CheckpointPath(journalDir, idx))
 			if err != nil {
 				s.cfg.Logf("serve: stream %s run %d: %v", id, idx, err)
+				// The 200 status is already out: end the stream with an
+				// error line, or the client sees a short stream as a
+				// complete one.
+				json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf("run %d: %v", idx, err)})
 				return
 			}
 			if _, err := w.Write(line); err != nil {

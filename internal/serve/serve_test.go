@@ -541,6 +541,56 @@ func TestHTTPResultsBadCursor(t *testing.T) {
 	}
 }
 
+// TestHTTPResultsUnreadableCheckpoint: a checkpoint the stream cannot
+// read ends the 200 response with an {"error": ...} line, so the client
+// can tell a failed stream from a short job.
+func TestHTTPResultsUnreadableCheckpoint(t *testing.T) {
+	s := newTestServer(t, t.TempDir())
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	view := submitJSON(t, ts, fmt.Sprintf(`{"user":"ada","spec":%s}`, testSpecJSON))
+	waitFor(t, "job done", func() bool {
+		v, err := s.Job(view.ID)
+		return err == nil && v.State == StateDone
+	})
+	s.mu.Lock()
+	cp := sweep.CheckpointPath(s.jobs[view.ID].journalDir(), 1)
+	s.mu.Unlock()
+	if err := os.Remove(cp); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(cp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + view.ID + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("results status %d, want 200", resp.StatusCode)
+	}
+	var lines []string
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		lines = append(lines, sc.Text())
+	}
+	if len(lines) != 2 {
+		t.Fatalf("stream delivered %d lines, want run 0 and an error line: %q", len(lines), lines)
+	}
+	var last map[string]any
+	if err := json.Unmarshal([]byte(lines[1]), &last); err != nil {
+		t.Fatalf("last line is not JSON: %v", err)
+	}
+	if msg, _ := last["error"].(string); len(last) != 1 || !strings.HasPrefix(msg, "run 1: ") {
+		t.Fatalf("last line %s, want only an error naming run 1", lines[1])
+	}
+}
+
 // TestCancelQueuedJob: canceling a queued job is immediate and
 // terminal, and frees nothing that was not running.
 func TestCancelQueuedJob(t *testing.T) {
