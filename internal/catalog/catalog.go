@@ -87,13 +87,6 @@ func (r *Registry[T]) Names() []string {
 
 // --- Domain registries -----------------------------------------------------
 
-// Scenario is one resolvable scenario axis point: a display name plus a
-// constructor returning a fresh scenario.Spec per run.
-type Scenario struct {
-	Name string
-	New  func() scenario.Spec
-}
-
 // Policy is one resolvable policy axis point: the canonical display
 // name plus a constructor returning a fresh policy instance per run.
 type Policy struct {
@@ -112,15 +105,6 @@ var Workloads = NewRegistry[func() workload.AppSpec]("workload")
 // factories. Spec files resolve a scenario's "topology" here unless
 // they define the name inline.
 var Topologies = NewRegistry[func() *hw.Topology]("topology")
-
-// ScenarioByName resolves a scenario axis point.
-func ScenarioByName(name string) (Scenario, error) {
-	f, err := Scenarios.Lookup(name)
-	if err != nil {
-		return Scenario{}, err
-	}
-	return Scenario{Name: name, New: f}, nil
-}
 
 // TopologyByName returns a fresh copy of a registered machine.
 func TopologyByName(name string) (*hw.Topology, error) {

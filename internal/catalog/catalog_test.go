@@ -47,24 +47,24 @@ func TestRegistryRoundTrip(t *testing.T) {
 // scenario to exactly what the scenario package constructs directly.
 func TestPaperScenariosRegistered(t *testing.T) {
 	for _, name := range []string{"S1", "S2", "S3", "S4", "S5"} {
-		sc, err := ScenarioByName(name)
+		newSpec, err := Scenarios.Lookup(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got := sc.New()
+		got := newSpec()
 		want := scenario.ScenarioByName(name, 0)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: catalog spec differs from scenario.ScenarioByName", name)
 		}
 	}
-	fs, err := ScenarioByName("four-socket")
+	fs, err := Scenarios.Lookup("four-socket")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fs.New(), scenario.FourSocket(0); !reflect.DeepEqual(got, want) {
+	if got, want := fs(), scenario.FourSocket(0); !reflect.DeepEqual(got, want) {
 		t.Error("four-socket: catalog spec differs from scenario.FourSocket")
 	}
-	if _, err := ScenarioByName("S9"); err == nil {
+	if _, err := Scenarios.Lookup("S9"); err == nil {
 		t.Error("unknown scenario resolved")
 	}
 }
@@ -176,16 +176,16 @@ func TestAQLWindowPolicyGrammar(t *testing.T) {
 }
 
 func TestDynphaseScenarioRegistered(t *testing.T) {
-	sc, err := ScenarioByName("dynphase")
+	newSpec, err := Scenarios.Lookup("dynphase")
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := sc.New()
+	spec := newSpec()
 	if !spec.Dynamic() {
 		t.Error("dynphase catalog entry is not dynamic")
 	}
 	// Fresh state per lookup: two constructions must not share slices.
-	other := sc.New()
+	other := newSpec()
 	if &spec.Apps[0] == &other.Apps[0] {
 		t.Error("dynphase constructions share app state")
 	}

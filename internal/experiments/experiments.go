@@ -73,11 +73,11 @@ func mustSweep(sp *sweep.Spec, opts sweep.Options) *sweep.Result {
 
 // mustScenario resolves a catalog scenario for a sweep axis.
 func mustScenario(name string) sweep.Scenario {
-	sc, err := catalog.ScenarioByName(name)
+	newSpec, err := catalog.Scenarios.Lookup(name)
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}
-	return sweep.Scenario{Name: sc.Name, New: sc.New}
+	return sweep.Scenario{Name: name, New: newSpec}
 }
 
 // windows returns (warmup, measure).

@@ -271,9 +271,6 @@ func (f *File) topology(name string) (*hw.Topology, error) {
 // scenarioAxis resolves one scenario entry into an axis point.
 func (f *File) scenarioAxis(i int, r ScenarioRef) (Scenario, error) {
 	switch {
-	case r.Fleet != nil:
-		return Scenario{}, fmt.Errorf("sweep: scenario entry %d: fleet blocks expand in Spec, not scenarioAxis", i)
-
 	case r.Gen != nil:
 		if r.Name != "" {
 			return Scenario{}, fmt.Errorf("sweep: scenario entry %d sets both a name (%q) and a generator block", i, r.Name)
@@ -284,21 +281,20 @@ func (f *File) scenarioAxis(i int, r ScenarioRef) (Scenario, error) {
 		return f.genAxis(i, r.Gen)
 
 	case r.Name != "":
-		sc, err := catalog.ScenarioByName(r.Name)
+		newSpec, err := catalog.Scenarios.Lookup(r.Name)
 		if err != nil {
 			return Scenario{}, err
 		}
 		if r.Topology == "" {
-			return Scenario{Name: sc.Name, New: sc.New}, nil
+			return Scenario{Name: r.Name, New: newSpec}, nil
 		}
 		topo, err := f.topology(r.Topology)
 		if err != nil {
 			return Scenario{}, err
 		}
 		name := r.Name + "@" + r.Topology
-		inner := sc.New
 		return Scenario{Name: name, New: func() scenario.Spec {
-			s := inner()
+			s := newSpec()
 			t := *topo // fresh copy per run
 			s.Topo = &t
 			s.GuestPCPUs = nil // all pCPUs of the override machine
