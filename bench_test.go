@@ -18,6 +18,7 @@ import (
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/sim"
 	"aqlsched/internal/sweep"
+	"aqlsched/internal/vcputype"
 )
 
 func benchCfg(b *testing.B) experiments.Config {
@@ -170,8 +171,8 @@ func fleet100Spec() fleet.Spec {
 		Placement: "least-loaded",
 		Tenants:   []fleet.Tenant{{Name: "alpha", Weight: 2}, {Name: "beta", Weight: 1}, {Name: "gamma", Weight: 1}},
 		VCPUs:     2400,
-		Mix: map[string]float64{
-			"IOInt": 0.25, "ConSpin": 0.25, "LLCF": 0.2, "LLCO": 0.15, "LoLCF": 0.15,
+		Mix: scenario.Mix{
+			vcputype.IOInt: 0.25, vcputype.ConSpin: 0.25, vcputype.LLCF: 0.2, vcputype.LLCO: 0.15, vcputype.LoLCF: 0.15,
 		},
 		Churn: &scenario.ChurnSpec{
 			Rate:         40,

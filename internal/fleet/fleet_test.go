@@ -182,8 +182,8 @@ func genFleetSpec() Spec {
 		Placement: "tenant-fairshare",
 		Tenants:   []Tenant{{Name: "alpha", Weight: 2}, {Name: "beta", Weight: 1}},
 		VCPUs:     48,
-		Mix: map[string]float64{
-			"LLCF": 2, "ConSpin": 1, "IOInt": 1,
+		Mix: scenario.Mix{
+			vcputype.LLCF: 2, vcputype.ConSpin: 1, vcputype.IOInt: 1,
 		},
 		Churn: &scenario.ChurnSpec{
 			Rate:         30,
@@ -273,7 +273,8 @@ func TestSpecValidation(t *testing.T) {
 		{"negative weight", func(s *Spec) { s.Tenants[1].Weight = -2 }, "must be positive"},
 		{"duplicate tenant", func(s *Spec) { s.Tenants[1].Name = s.Tenants[0].Name }, "duplicate tenant"},
 		{"no population", func(s *Spec) { s.VCPUs = 0 }, "vCPU budget"},
-		{"bad mix", func(s *Spec) { s.Mix = map[string]float64{"warp-drive": 1} }, "unknown"},
+		{"missing mix", func(s *Spec) { s.Mix = nil }, "mix is missing"},
+		{"bad mix weight", func(s *Spec) { s.Mix = scenario.Mix{vcputype.LLCF: 0} }, "must be positive"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -3,8 +3,6 @@ package fleet
 import (
 	"encoding/json"
 	"testing"
-
-	"aqlsched/internal/sim"
 )
 
 // FuzzFleetValidate feeds arbitrary JSON into a fleet Spec and runs
@@ -14,27 +12,14 @@ import (
 // event count) must reject absurd inputs instead of letting them
 // exhaust memory.
 func FuzzFleetValidate(f *testing.F) {
-	seed := func(s Spec) {
-		data, err := json.Marshal(s)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-	}
-	seed(Spec{Name: "gen", Hosts: 4, VCPUs: 48, Mix: map[string]float64{"LLCF": 1}})
-	seed(Spec{
-		Name: "faulty", Hosts: 8, OverSub: 2, Placement: "bin-pack",
-		VCPUs: 64, Mix: map[string]float64{"LLCF": 2, "ConSpin": 1},
-		Faults: &FaultPlan{
-			Crashes:  []Crash{{Host: 3, At: sim.Millis(10 * sim.Millisecond), Down: sim.Millis(50 * sim.Millisecond)}},
-			Degrades: []Degrade{{Host: 1, For: sim.Millis(20 * sim.Millisecond), Factor: 0.5}},
-			CrashStorm: &Storm{
-				Rate: 5, Horizon: sim.Millis(500 * sim.Millisecond), MeanDown: sim.Millis(40 * sim.Millisecond),
-			},
-			MigFailProb: 0.25,
-			Recovery:    Recovery{MaxRetries: 3, RetryDelay: sim.Millis(5 * sim.Millisecond), Backoff: 2, OnExhaust: "drop"},
-		},
-	})
+	// Seeds are JSON literals: a Spec marshals its typed mix with
+	// integer keys, which the mix decoder rejects, so a marshalled seed
+	// would never reach Validate.
+	f.Add([]byte(`{"name":"gen","hosts":4,"vcpus":48,"mix":{"LLCF":1},"rebalance":{}}`))
+	f.Add([]byte(`{"name":"faulty","hosts":8,"oversub":2,"vcpus":64,"mix":{"ConSpin":1,"LLCF":2},"rebalance":{},` +
+		`"faults":{"crashes":[{"host":3,"at_ms":10000,"down_ms":50000}],"degrades":[{"host":1,"at_ms":0,"for_ms":20000,"factor":0.5}],` +
+		`"crash_storm":{"rate_per_sec":5,"horizon_ms":500000,"mean_down_ms":40000},"migration_fail_prob":0.25,` +
+		`"recovery":{"max_retries":3,"retry_delay_ms":5000,"backoff":2,"on_exhaust":"drop"}}}`))
 	f.Add([]byte(`{"Hosts": -1}`))
 	f.Add([]byte(`{"Hosts": 1000000, "VCPUs": 1000000000}`))
 	f.Add([]byte(`{"Hosts": 2, "Faults": {"CrashStorm": {"Rate": 1e18, "Horizon": 1000000000}}}`))

@@ -126,7 +126,7 @@ type Spec struct {
 	VCPUs int `json:"vcpus"`
 	// Mix weights the generated VM types (required unless Explicit is
 	// set).
-	Mix map[string]float64 `json:"mix,omitempty"`
+	Mix scenario.Mix `json:"mix,omitempty"`
 	// Churn adds Poisson VM arrivals with exponential lifetimes, drawn
 	// from GenSeed exactly like the scenario generator's churn.
 	Churn *scenario.ChurnSpec `json:"churn,omitempty"`
@@ -242,7 +242,10 @@ func (s *Spec) Validate() error {
 	if s.VCPUs > maxFleetVCPUs {
 		return fmt.Errorf("fleet %q: population budget %d vCPUs exceeds the %d sanity cap", name, s.VCPUs, maxFleetVCPUs)
 	}
-	if _, err := scenario.ParseMix(s.Mix); err != nil {
+	if len(s.Mix) == 0 {
+		return fmt.Errorf("fleet %q: mix is missing (want e.g. {\"IOInt\": 0.25, \"LLCF\": 0.75})", name)
+	}
+	if err := s.Mix.Validate(); err != nil {
 		return fmt.Errorf("fleet %q: %v", name, err)
 	}
 	if c := s.Churn; c != nil {
@@ -267,12 +270,8 @@ func (s *Spec) GenVMs() ([]VMSpec, error) {
 		return out, nil
 	}
 
-	mix, err := scenario.ParseMix(sp.Mix)
-	if err != nil {
-		return nil, err
-	}
 	topo := *sp.Topo // drawers size working sets off a private copy
-	md := scenario.NewMixDrawer(mix, &topo)
+	md := scenario.NewMixDrawer(sp.Mix, &topo)
 
 	// Tenant weights, cumulative in declaration order.
 	var tcum []float64

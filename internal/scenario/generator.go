@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -16,41 +17,80 @@ import (
 // the GenSpec (including its Seed), so every sweep run of the same axis
 // point deploys the identical VM set regardless of worker interleaving,
 // while the per-run simulation seed still varies across replications.
+//
+// The JSON tags make GenSpec the schema of a spec file's {"gen": {...}}
+// block. Fields tagged "-" are not spelled in spec files: the sweep
+// layer resolves Topo and Fixed from names and PhaseProb from its own
+// "phase_prob" key.
 type GenSpec struct {
 	// Name labels the generated scenario (the sweep axis name).
-	Name string
+	Name string `json:"name,omitempty"`
 	// Topo is the machine; nil defaults to the i7-3770.
-	Topo *hw.Topology
+	Topo *hw.Topology `json:"-"`
 	// VCPUs is the total guest vCPU budget to fill (≥ 1).
-	VCPUs int
+	VCPUs int `json:"vcpus"`
 	// OverSub is the vCPU : guest-pCPU ratio (default 4, the paper's
 	// single-socket consolidation ratio). The generator provisions
 	// ceil(VCPUs/OverSub) guest pCPUs, capped at the machine size.
-	OverSub float64
-	// Mix weights the five vCPU types; weights need not sum to 1.
-	// Types absent from the map are never drawn.
-	Mix map[vcputype.Type]float64
+	OverSub float64 `json:"oversub,omitempty"`
+	// Mix weights the vCPU types drawn for synthetic VMs.
+	Mix Mix `json:"mix,omitempty"`
 	// Fixed deploys these named applications first (one VM each);
 	// their vCPUs count against the budget. Synthetic VMs fill the
 	// remainder.
-	Fixed []workload.AppSpec
+	Fixed []workload.AppSpec `json:"-"`
 	// Seed drives the generator's draws (types and app knobs). It is
 	// independent of the simulation seed the sweep assigns per run.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 
 	// Phases, when non-empty, defines a behaviour cycle (each entry's
 	// Dur and Type; the per-phase knobs are drawn per VM): generated
 	// VMs become phased applications with probability PhaseProb.
-	Phases []workload.AppPhase
+	Phases []workload.AppPhase `json:"phases,omitempty"`
 	// PhaseProb is the probability a generated VM is phased. The zero
 	// value means "unset" and defaults to 1 when Phases is set; to
 	// generate no phased VMs, leave Phases empty instead. (The
 	// spec-file layer distinguishes an explicit "phase_prob": 0 and
 	// drops the phases block accordingly.)
-	PhaseProb float64
+	PhaseProb float64 `json:"-"`
 	// Churn, when set, adds VM arrival/departure events to the
 	// generated scenario. See ChurnSpec.
-	Churn *ChurnSpec
+	Churn *ChurnSpec `json:"churn,omitempty"`
+}
+
+// Mix weights the five vCPU types; weights need not sum to 1, and types
+// absent from the map are never drawn. Spec files spell it as an object
+// keyed by type name ({"IOInt": 0.25, "LLCF": 0.75}). The generator and
+// the fleet both draw from one.
+type Mix map[vcputype.Type]float64
+
+// UnmarshalJSON reads a name-keyed mix, rejecting an unknown type name.
+// null leaves the mix unchanged.
+func (m *Mix) UnmarshalJSON(data []byte) error {
+	var named map[string]float64
+	if err := json.Unmarshal(data, &named); err != nil || named == nil {
+		return err
+	}
+	out := make(Mix, len(named))
+	for name, w := range named {
+		t, err := vcputype.Parse(name)
+		if err != nil {
+			return fmt.Errorf("mix: %v", err)
+		}
+		out[t] = w
+	}
+	*m = out
+	return nil
+}
+
+// Validate requires every weight to be positive and finite.
+func (m Mix) Validate() error {
+	for t, w := range m {
+		if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return fmt.Errorf("mix: weight %v for %s must be positive and finite", w, t)
+		}
+	}
+	return nil
 }
 
 // ChurnSpec parameterizes generated VM churn: Poisson arrivals at Rate
@@ -155,26 +195,6 @@ func Populate(seed uint64, budget int, draw func(rng *sim.RNG, label uint64) wor
 	}
 }
 
-// ParseMix converts a name → weight map (spec-file form) into a typed
-// mix, rejecting unknown type names and non-positive weights.
-func ParseMix(m map[string]float64) (map[vcputype.Type]float64, error) {
-	if len(m) == 0 {
-		return nil, fmt.Errorf("scenario: generator mix is missing (want e.g. {\"IOInt\": 0.25, \"LLCF\": 0.75})")
-	}
-	out := make(map[vcputype.Type]float64, len(m))
-	for name, w := range m {
-		t, err := vcputype.Parse(name)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: generator mix: %v", err)
-		}
-		if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("scenario: generator mix: weight %v for %s must be positive and finite", w, name)
-		}
-		out[t] = w
-	}
-	return out, nil
-}
-
 // MixDrawer draws synthetic applications from a weighted vCPU-type mix.
 // It is the reusable core of the generator's drawApp (and of the fleet
 // generator, which synthesizes per-host VM populations the same way):
@@ -188,10 +208,9 @@ type MixDrawer struct {
 	topo  *hw.Topology
 }
 
-// NewMixDrawer prepares a drawer over mix (weights need not sum to 1;
-// types absent from the map are never drawn). topo sizes cache working
+// NewMixDrawer prepares a drawer over mix. topo sizes cache working
 // sets.
-func NewMixDrawer(mix map[vcputype.Type]float64, topo *hw.Topology) *MixDrawer {
+func NewMixDrawer(mix Mix, topo *hw.Topology) *MixDrawer {
 	m := &MixDrawer{topo: topo}
 	for _, t := range vcputype.All() {
 		if w, ok := mix[t]; ok {
@@ -269,10 +288,8 @@ func (g *GenSpec) Validate() error {
 	if len(g.Mix) == 0 && len(g.Fixed) == 0 && len(g.Phases) == 0 {
 		return fmt.Errorf("scenario: generator %q: mix is missing and no fixed apps or phases given", g.Name)
 	}
-	for t, w := range g.Mix {
-		if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return fmt.Errorf("scenario: generator %q: weight %v for %s must be positive and finite", g.Name, w, t)
-		}
+	if err := g.Mix.Validate(); err != nil {
+		return fmt.Errorf("scenario: generator %q: %v", g.Name, err)
 	}
 	fixed := 0
 	for _, f := range g.Fixed {

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -212,23 +214,26 @@ func TestGenerateValidation(t *testing.T) {
 	}
 }
 
-func TestParseMix(t *testing.T) {
-	m, err := ParseMix(map[string]float64{"IOInt": 0.5, "LLCO": 0.5})
-	if err != nil || len(m) != 2 || m[vcputype.IOInt] != 0.5 {
-		t.Fatalf("ParseMix = %v, %v", m, err)
+// TestMixJSON: a mix decodes from type names, rejects an unknown name
+// by name, leaves itself unchanged on null, and validates its weights.
+func TestMixJSON(t *testing.T) {
+	var m Mix
+	if err := json.Unmarshal([]byte(`{"IOInt": 0.5, "LLCO": 0.5}`), &m); err != nil || len(m) != 2 || m[vcputype.IOInt] != 0.5 {
+		t.Fatalf("decoded %v, %v", m, err)
 	}
-	for _, bad := range []map[string]float64{
-		nil,
-		{},
-		{"IOBound": 1},
-		{"IOInt": 0},
-		{"IOInt": -1},
-	} {
-		if _, err := ParseMix(bad); err == nil {
-			t.Errorf("ParseMix(%v) accepted", bad)
-		}
+	if err := json.Unmarshal([]byte(`null`), &m); err != nil || len(m) != 2 {
+		t.Errorf("null changed the mix to %v (%v)", m, err)
 	}
-	if _, err := ParseMix(map[string]float64{"IOBound": 1}); err == nil || !strings.Contains(err.Error(), "IOBound") {
+	var bad Mix
+	if err := json.Unmarshal([]byte(`{"IOBound": 1}`), &bad); err == nil || !strings.Contains(err.Error(), "IOBound") {
 		t.Errorf("unknown type error unhelpful: %v", err)
+	}
+	if err := m.Validate(); err != nil {
+		t.Errorf("valid mix rejected: %v", err)
+	}
+	for _, w := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if err := (Mix{vcputype.IOInt: w}).Validate(); err == nil {
+			t.Errorf("weight %v accepted", w)
+		}
 	}
 }

@@ -15,8 +15,6 @@ import (
 	"aqlsched/internal/hw"
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/sim"
-	"aqlsched/internal/vcputype"
-	"aqlsched/internal/workload"
 )
 
 // --- Declarative spec files ------------------------------------------------
@@ -155,46 +153,24 @@ func (r PolicyRef) resolve() (Policy, error) {
 	return catalog.PolicyByName(r.Name)
 }
 
-// GenBlock parameterizes a generated colocation scenario (see
-// scenario.GenSpec): a machine reference, a vCPU budget, an
-// over-subscription ratio and a type mix, optionally pinning named
-// catalog workloads into the population.
+// GenBlock is the spec-file form of a generated colocation scenario.
+// Its embedded scenario.GenSpec is the schema — the JSON tags on
+// GenSpec and on the phase legs and churn block it holds name the keys
+// — and GenBlock adds only the keys that need resolving against the
+// file: the machine name, the pinned workload names and the phase
+// probability. The name defaults to "gen<i>-<topology>-<vcpus>v" and
+// the seed to the file's base seed.
 type GenBlock struct {
-	// Name labels the axis point (default "gen<i>-<topology>-<vcpus>v").
-	Name string `json:"name,omitempty"`
+	scenario.GenSpec
 	// Topology names the machine (file-local or registered; default
 	// "i7-3770").
 	Topology string `json:"topology,omitempty"`
-	// VCPUs is the total guest vCPU budget (required, ≥ 1).
-	VCPUs int `json:"vcpus"`
-	// OverSub is the vCPU : guest-pCPU ratio (default 4).
-	OverSub float64 `json:"oversub,omitempty"`
-	// Mix weights the vCPU types by name ({"IOInt": 0.25, ...}).
-	// Required unless Apps alone fill the budget.
-	Mix map[string]float64 `json:"mix,omitempty"`
 	// Apps pins named catalog workloads into the population (one VM
 	// each, deployed first, counted against the budget).
 	Apps []string `json:"apps,omitempty"`
-	// Seed drives the generator draws (default: the file's base seed),
-	// independent of the per-run simulation seeds.
-	Seed uint64 `json:"seed,omitempty"`
-	// Phases defines a behaviour cycle: generated VMs become phased
-	// applications (their ground-truth type flips mid-run) with
-	// probability PhaseProb. See scenario.GenSpec.
-	Phases []PhaseBlock `json:"phases,omitempty"`
 	// PhaseProb is the probability a generated VM is phased (default 1
-	// when Phases is set).
+	// when phases are set). An explicit 0 drops the phases.
 	PhaseProb *float64 `json:"phase_prob,omitempty"`
-	// Churn adds VM arrival/departure events to the scenario.
-	Churn *scenario.ChurnSpec `json:"churn,omitempty"`
-}
-
-// PhaseBlock is one leg of a generated phase cycle: the ground-truth
-// type and the phase length; per-phase behaviour knobs are drawn per
-// VM from the generator config.
-type PhaseBlock struct {
-	Type string `json:"type"`
-	MS   int64  `json:"ms"`
 }
 
 // FleetBlock is the spec-file form of a multi-host fleet scenario. Its
@@ -319,65 +295,34 @@ func (f *File) genAxis(i int, g *GenBlock) (Scenario, error) {
 	if err != nil {
 		return Scenario{}, err
 	}
-
-	var fixed []workload.AppSpec
+	gs := g.GenSpec // the axis point owns its copy
+	gs.Topo = topo
 	for _, name := range g.Apps {
 		app, err := catalog.WorkloadByName(name)
 		if err != nil {
 			return Scenario{}, fmt.Errorf("sweep: generator scenario %d: %v", i, err)
 		}
-		fixed = append(fixed, app)
+		gs.Fixed = append(gs.Fixed, app)
 	}
-
-	name := g.Name
-	if name == "" {
-		name = fmt.Sprintf("gen%d-%s-%dv", i, topoName, g.VCPUs)
+	if gs.Name == "" {
+		gs.Name = fmt.Sprintf("gen%d-%s-%dv", i, topoName, gs.VCPUs)
 	}
-
-	gs := scenario.GenSpec{
-		Name:    name,
-		Topo:    topo,
-		VCPUs:   g.VCPUs,
-		OverSub: g.OverSub,
-		Fixed:   fixed,
-		Seed:    f.genSeed(g.Seed),
-		Churn:   g.Churn,
-	}
-	if len(g.Mix) > 0 {
-		m, err := scenario.ParseMix(g.Mix)
-		if err != nil {
-			return Scenario{}, fmt.Errorf("sweep: generator scenario %d: %v", i, err)
+	gs.Seed = f.genSeed(gs.Seed)
+	if p := g.PhaseProb; p != nil {
+		if *p < 0 || *p > 1 {
+			return Scenario{}, fmt.Errorf("sweep: generator scenario %d: phase_prob %v must be in [0, 1]", i, *p)
 		}
-		gs.Mix = m
-	}
-	// An explicit "phase_prob": 0 means "no VM is phased" — honor it by
-	// dropping the phases block entirely (GenSpec treats PhaseProb 0 as
-	// "unset, default 1", so passing it through would invert the
-	// intent).
-	if g.PhaseProb == nil || *g.PhaseProb > 0 {
-		for j, ph := range g.Phases {
-			t, err := vcputype.Parse(ph.Type)
-			if err != nil {
-				return Scenario{}, fmt.Errorf("sweep: generator scenario %d: phase %d: %v", i, j, err)
-			}
-			dur, err := sim.FromMillis(ph.MS)
-			if err != nil {
-				return Scenario{}, fmt.Errorf("sweep: generator scenario %d: phase %d: %v", i, j, err)
-			}
-			gs.Phases = append(gs.Phases, workload.AppPhase{Type: t, Dur: dur})
+		// An explicit 0 means "no VM is phased": drop the phases, since
+		// GenSpec reads PhaseProb 0 as "unset, default 1".
+		if *p == 0 {
+			gs.Phases = nil
 		}
-	}
-	if g.PhaseProb != nil {
-		p := *g.PhaseProb
-		if p < 0 || p > 1 {
-			return Scenario{}, fmt.Errorf("sweep: generator scenario %d: phase_prob %v must be in [0, 1]", i, p)
-		}
-		gs.PhaseProb = p
+		gs.PhaseProb = *p
 	}
 	if _, err := gs.Generate(); err != nil {
 		return Scenario{}, fmt.Errorf("sweep: generator scenario %d: %v", i, err)
 	}
-	return Scenario{Name: name, New: gs.MustGenerate}, nil
+	return Scenario{Name: gs.Name, New: gs.MustGenerate}, nil
 }
 
 // genSeed resolves a population seed: the block's own, else the file's

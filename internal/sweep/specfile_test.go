@@ -289,6 +289,12 @@ var dynErrorCases = []specErrorCase{
 		"phases":[{"type":"LoLCF","ms":-5},{"type":"LLCO","ms":400}]}}],"policies":["xen"]}`, ""},
 	{"overflowing phase ms", `{"name":"x","scenarios":[{"gen":{"vcpus":4,"mix":{"LoLCF":1},
 		"phases":[{"type":"LoLCF","ms":18446744073709552},{"type":"LLCO","ms":400}]}}],"policies":["xen"]}`, "overflows"},
+	// An explicit "phase_prob": 0 drops the phases, but their legs are
+	// still decoded: a bad leg fails the load.
+	{"unknown phase type under phase_prob 0", `{"name":"x","scenarios":[{"gen":{"vcpus":4,"mix":{"LoLCF":1},"phase_prob":0,
+		"phases":[{"type":"Bogus","ms":400},{"type":"LoLCF","ms":400}]}}],"policies":["xen"]}`, "Bogus"},
+	{"overflowing phase ms under phase_prob 0", `{"name":"x","scenarios":[{"gen":{"vcpus":4,"mix":{"LoLCF":1},"phase_prob":0,
+		"phases":[{"type":"LoLCF","ms":18446744073709552},{"type":"LLCO","ms":400}]}}],"policies":["xen"]}`, "overflows"},
 }
 
 func TestSpecFileDynamicErrorPaths(t *testing.T) {

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 
 	"aqlsched/internal/cache"
@@ -36,6 +38,33 @@ type AppPhase struct {
 	// Rate / Service configure IOInt phases.
 	Rate    float64
 	Service sim.Time
+}
+
+// UnmarshalJSON reads one leg of a spec file's generated phase cycle,
+// {"type": "LLCF", "ms": 800}: the ground-truth type by name and the
+// phase length. The behaviour knobs are drawn per VM
+// (SynthesizePhases), so a leg spells nothing else, and other keys are
+// rejected (custom unmarshalers do not inherit the outer decoder's
+// DisallowUnknownFields). null leaves the phase unchanged.
+func (p *AppPhase) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		return nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var leg struct {
+		Type string     `json:"type"`
+		MS   sim.Millis `json:"ms"`
+	}
+	if err := dec.Decode(&leg); err != nil {
+		return err
+	}
+	t, err := vcputype.Parse(leg.Type)
+	if err != nil {
+		return err
+	}
+	*p = AppPhase{Dur: sim.Time(leg.MS), Type: t}
+	return nil
 }
 
 // ValidatePhaseDefs checks the definition-level invariants of a phase
