@@ -1,6 +1,8 @@
-// Package specs embeds the example sweep spec files. Each file is also
-// the built-in sweep of the same name (sweep.Builtin("genmix") parses
-// genmix.json), so the two spellings cannot drift apart.
+// Package specs embeds the sweep spec files. Each file is the built-in
+// sweep of the same name (sweep.Builtin("genmix") parses genmix.json),
+// and every built-in is one of them. bench.json is the grid of
+// BenchmarkSweepParallel and of the committed bench golden artifacts,
+// so its definition must stay stable.
 package specs
 
 import "embed"

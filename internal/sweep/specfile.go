@@ -66,17 +66,6 @@ type ScenarioRef struct {
 	Fleet *FleetBlock `json:"fleet,omitempty"`
 }
 
-// Ref wraps a catalog scenario name for Go-constructed Files.
-func Ref(name string) ScenarioRef { return ScenarioRef{Name: name} }
-
-func refs(names ...string) []ScenarioRef {
-	out := make([]ScenarioRef, len(names))
-	for i, n := range names {
-		out[i] = Ref(n)
-	}
-	return out
-}
-
 // UnmarshalJSON accepts both the bare-name and the object form. The
 // object form rejects unknown keys (custom unmarshalers do not inherit
 // the outer decoder's DisallowUnknownFields).
@@ -109,17 +98,6 @@ type PolicyRef struct {
 type PolicyBlock struct {
 	Name   string         `json:"name"`
 	Params map[string]any `json:"params,omitempty"`
-}
-
-// Pol wraps a grammar spelling for Go-constructed Files.
-func Pol(name string) PolicyRef { return PolicyRef{Name: name} }
-
-func pols(names ...string) []PolicyRef {
-	out := make([]PolicyRef, len(names))
-	for i, n := range names {
-		out[i] = Pol(n)
-	}
-	return out
 }
 
 // UnmarshalJSON accepts both the grammar-string and the {"policy": ...}
@@ -458,86 +436,9 @@ func (f *File) Spec() (*Spec, error) {
 
 // --- Built-in sweeps -------------------------------------------------------
 
-// builtins maps names to ready-made sweep specifications mirroring the
-// paper's evaluation structure.
-var builtins = map[string]func() *Spec{
-	"policy-grid": func() *Spec {
-		return mustFile(File{
-			Name:      "policy-grid",
-			Scenarios: refs("S1", "S2", "S3", "S4", "S5"),
-			Policies:  pols("xen", "aql"),
-			Baseline:  "xen-credit",
-			Seeds:     3,
-		})
-	},
-	"fig8": func() *Spec {
-		return mustFile(File{
-			Name:      "fig8",
-			Scenarios: refs("S5"),
-			Policies:  pols("xen", "vturbo", "microsliced", "vslicer", "aql"),
-			Baseline:  "xen-credit",
-		})
-	},
-	"quantum-grid": func() *Spec {
-		return mustFile(File{
-			Name:      "quantum-grid",
-			Scenarios: refs("S1", "S2", "S3", "S4", "S5"),
-			Policies:  pols("fixed:30ms"),
-			Quanta:    []string{"1ms", "10ms", "60ms", "90ms"},
-			Baseline:  "fixed:30ms",
-			Seeds:     3,
-		})
-	},
-	"four-socket": func() *Spec {
-		return mustFile(File{
-			Name:      "four-socket",
-			Scenarios: refs("four-socket"),
-			Policies:  pols("xen", "aql"),
-			Baseline:  "xen-credit",
-		})
-	},
-	"baseline-grid": func() *Spec {
-		return mustFile(File{
-			Name:      "baseline-grid",
-			Scenarios: refs("S1", "S2", "S3", "S4", "S5"),
-			Policies:  pols("xen", "vturbo", "microsliced", "vslicer", "aql"),
-			Baseline:  "xen-credit",
-			Seeds:     3,
-		})
-	},
-	// bench is a small real grid with short windows: 12 runs covering a
-	// lock-heavy and an IO-heavy scenario under three policies. It is
-	// the workload of BenchmarkSweepParallel and of the committed
-	// golden-determinism artifacts (testdata/), so its definition must
-	// stay stable.
-	"bench": func() *Spec {
-		return mustFile(File{
-			Name:      "bench",
-			Scenarios: refs("S1", "S5"),
-			Policies:  pols("xen", "microsliced", "aql"),
-			Baseline:  "xen-credit",
-			Seeds:     2,
-			WarmupMS:  400,
-			MeasureMS: 900,
-		})
-	},
-}
-
-func mustFile(f File) *Spec {
-	s, err := f.Spec()
-	if err != nil {
-		panic("sweep: bad builtin: " + err.Error())
-	}
-	return s
-}
-
-// Builtin returns a named built-in sweep specification: one of the
-// grids above, or an example spec embedded from examples/specs
-// ("genmix" is examples/specs/genmix.json).
+// Builtin returns a named built-in sweep: the spec file of that name
+// embedded from examples/specs ("fig8" parses fig8.json).
 func Builtin(name string) (*Spec, bool) {
-	if f, ok := builtins[name]; ok {
-		return f(), true
-	}
 	data, err := specs.FS.ReadFile(name + ".json")
 	if err != nil {
 		return nil, false
@@ -551,13 +452,10 @@ func Builtin(name string) (*Spec, bool) {
 
 // BuiltinNames lists the built-in sweeps, sorted.
 func BuiltinNames() []string {
-	out := make([]string, 0, len(builtins))
-	for n := range builtins {
-		out = append(out, n)
-	}
 	files, _ := fs.Glob(specs.FS, "*.json") // errors only on a malformed pattern
-	for _, f := range files {
-		out = append(out, strings.TrimSuffix(f, ".json"))
+	out := make([]string, len(files))
+	for i, f := range files {
+		out[i] = strings.TrimSuffix(f, ".json")
 	}
 	sort.Strings(out)
 	return out

@@ -13,6 +13,23 @@ import (
 	"aqlsched/internal/xen"
 )
 
+// refs and pols spell Go-constructed Files' axes.
+func refs(names ...string) []ScenarioRef {
+	out := make([]ScenarioRef, len(names))
+	for i, n := range names {
+		out[i] = ScenarioRef{Name: n}
+	}
+	return out
+}
+
+func pols(names ...string) []PolicyRef {
+	out := make([]PolicyRef, len(names))
+	for i, n := range names {
+		out[i] = PolicyRef{Name: n}
+	}
+	return out
+}
+
 // quickSpec is a small but real grid: one Table-4 scenario under three
 // policies, two seed replications, quick windows.
 func quickSpec(t *testing.T) *Spec {
