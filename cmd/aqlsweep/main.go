@@ -129,35 +129,25 @@ func main() {
 			fmt.Fprintln(os.Stderr, "aqlsweep: -spec is required (file path or built-in name; -list shows built-ins)")
 			os.Exit(2)
 		}
-		var src []byte
-		var builtin string
-		var err error
-		spec, src, builtin, err = resolveSpec(*specArg)
+		src, builtin, err := readSpecArg(*specArg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "aqlsweep: %v\n", err)
 			os.Exit(2)
 		}
-		if *seeds > 0 {
-			spec.Seeds = *seeds
-		}
-		if *seed != 0 {
-			spec.BaseSeed = *seed
-		} else if flagSet("seed") {
+		if *seed == 0 && flagSet("seed") {
 			// BaseSeed 0 means "default" throughout the sweep layer, so an
 			// explicit zero cannot be honored — say so instead of silently
 			// running with 0xA91.
 			fmt.Fprintf(os.Stderr, "aqlsweep: -seed 0 is reserved for the default; running with base seed %#x\n", sweep.DefaultSeed)
 		}
-		if *quick {
-			spec.Warmup = sweep.QuickWarmup
-			spec.Measure = sweep.QuickMeasure
-		}
-		if err := spec.Validate(); err != nil {
+		var m sweep.Manifest
+		spec, m, err = sweep.Resolve(src, builtin, *seeds, *seed, *quick)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "aqlsweep: %v\n", err)
 			os.Exit(2)
 		}
 		if outDir != "" {
-			journal, err = createJournal(spec, src, builtin, outDir)
+			journal, err = sweep.CreateJournal(filepath.Join(outDir, spec.Name+".journal"), m)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "aqlsweep: %v\n", err)
 				os.Exit(2)
@@ -443,30 +433,15 @@ func flagSet(name string) bool {
 	return set
 }
 
-// resolveSpec prefers an on-disk spec file (a regular file: a
-// directory named like a built-in is not a spec); otherwise the name
-// must be a built-in sweep. It also returns the sweep's identity for
-// the run journal: the raw file bytes, or the built-in name.
-func resolveSpec(arg string) (*sweep.Spec, []byte, string, error) {
+// readSpecArg turns -spec into a sweep source: the bytes of an on-disk
+// spec file (a regular file: a directory named like a built-in is not a
+// spec), otherwise the argument as a built-in name.
+func readSpecArg(arg string) ([]byte, string, error) {
 	if fi, err := os.Stat(arg); err == nil && fi.Mode().IsRegular() {
 		data, err := os.ReadFile(arg)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		s, err := sweep.Parse(data)
-		return s, data, "", err
+		return data, "", err
 	}
-	if s, ok := sweep.Builtin(arg); ok {
-		return s, nil, arg, nil
-	}
-	return nil, nil, "", fmt.Errorf("spec %q is neither a file nor a built-in (built-ins: %v)", arg, sweep.BuiltinNames())
-}
-
-// createJournal arms the crash-safe run journal at
-// <out>/<name>.journal/ for a fresh (non-resume) invocation.
-func createJournal(spec *sweep.Spec, src []byte, builtin string, outDir string) (*sweep.Journal, error) {
-	m := sweep.NewManifest(spec, src, builtin)
-	return sweep.CreateJournal(filepath.Join(outDir, spec.Name+".journal"), m)
+	return nil, arg, nil
 }
 
 // resumeSweep reopens a journal and rebuilds the exact sweep it was

@@ -218,44 +218,8 @@ type SubmitRequest struct {
 // job's journal manifest — the single identity both execution and
 // recovery rebuild the sweep from.
 func (r *SubmitRequest) buildManifest() (sweep.Manifest, error) {
-	var (
-		spec    *sweep.Spec
-		src     []byte
-		builtin string
-		err     error
-	)
-	switch {
-	case len(r.Spec) > 0 && r.Builtin != "":
-		return sweep.Manifest{}, fmt.Errorf("submit: set exactly one of spec and builtin, not both")
-	case len(r.Spec) > 0:
-		src = append([]byte(nil), r.Spec...)
-		spec, err = sweep.Parse(src)
-		if err != nil {
-			return sweep.Manifest{}, err
-		}
-	case r.Builtin != "":
-		s, ok := sweep.Builtin(r.Builtin)
-		if !ok {
-			return sweep.Manifest{}, fmt.Errorf("submit: unknown built-in sweep %q (built-ins: %v)", r.Builtin, sweep.BuiltinNames())
-		}
-		spec, builtin = s, r.Builtin
-	default:
-		return sweep.Manifest{}, fmt.Errorf("submit: a spec (inline spec-file JSON) or a builtin name is required")
-	}
-	if r.Seeds > 0 {
-		spec.Seeds = r.Seeds
-	}
-	if r.BaseSeed != 0 {
-		spec.BaseSeed = r.BaseSeed
-	}
-	if r.Quick {
-		spec.Warmup = sweep.QuickWarmup
-		spec.Measure = sweep.QuickMeasure
-	}
-	if err := spec.Validate(); err != nil {
-		return sweep.Manifest{}, err
-	}
-	return sweep.NewManifest(spec, src, builtin), nil
+	_, m, err := sweep.Resolve(r.Spec, r.Builtin, r.Seeds, r.BaseSeed, r.Quick)
+	return m, err
 }
 
 func nowUnixMS() int64 { return time.Now().UnixMilli() }

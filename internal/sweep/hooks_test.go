@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -144,6 +145,22 @@ func TestManifestRebuildRoundTrip(t *testing.T) {
 	empty := Manifest{Runs: 1}
 	if _, err := empty.Rebuild(); err == nil {
 		t.Fatal("Rebuild accepted a manifest with no spec source")
+	}
+
+	// Resolve applies the overrides and snapshots them: the manifest
+	// rebuilds the same grid without them.
+	bi, bm, err := Resolve(nil, "bench", 1, 7, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bi.Seeds != 1 || bi.BaseSeed != 7 || bi.Warmup != QuickWarmup || bi.Measure != QuickMeasure {
+		t.Fatalf("Resolve ignored overrides: seeds %d, base %d, windows %v/%v", bi.Seeds, bi.BaseSeed, bi.Warmup, bi.Measure)
+	}
+	if re, err := bm.Rebuild(); err != nil || !reflect.DeepEqual(re.Runs(), bi.Runs()) {
+		t.Fatalf("Rebuild of a resolved built-in: %v", err)
+	}
+	if _, _, err := Resolve([]byte(fleetSpecJSON), "bench", 0, 0, false); err == nil {
+		t.Fatal("Resolve accepted both spec bytes and a built-in name")
 	}
 }
 

@@ -86,27 +86,60 @@ func NewManifest(spec *Spec, src []byte, builtin string) Manifest {
 	}
 }
 
+// Resolve builds the sweep a source describes, with the grid overrides
+// applied, validates it and snapshots its journal manifest. The source
+// is spec-file bytes or a built-in name, exactly one of them. seeds > 0
+// overrides the seed replications, a non-zero baseSeed the base seed,
+// and quick sets the quick windows. aqlsweep and aqlsweepd's submit
+// both start a sweep here.
+func Resolve(src []byte, builtin string, seeds int, baseSeed uint64, quick bool) (*Spec, Manifest, error) {
+	spec, err := load(src, builtin)
+	if err != nil {
+		return nil, Manifest{}, err
+	}
+	if seeds > 0 {
+		spec.Seeds = seeds
+	}
+	if baseSeed != 0 {
+		spec.BaseSeed = baseSeed
+	}
+	if quick {
+		spec.Warmup = QuickWarmup
+		spec.Measure = QuickMeasure
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, Manifest{}, err
+	}
+	return spec, NewManifest(spec, src, builtin), nil
+}
+
+// load parses a sweep source: spec-file bytes or a built-in name,
+// exactly one of them. Resolve and Rebuild share it.
+func load(src []byte, builtin string) (*Spec, error) {
+	switch {
+	case len(src) > 0 && builtin != "":
+		return nil, fmt.Errorf("sweep: set exactly one of a spec file and a built-in name, not both")
+	case len(src) > 0:
+		return Parse(src)
+	case builtin != "":
+		s, ok := Builtin(builtin)
+		if !ok {
+			return nil, fmt.Errorf("sweep: unknown built-in sweep %q (built-ins: %v)", builtin, BuiltinNames())
+		}
+		return s, nil
+	default:
+		return nil, fmt.Errorf("sweep: a spec file or a built-in name is required")
+	}
+}
+
 // Rebuild reconstructs the exact Spec the manifest was created for —
 // the -resume path, also used by aqlsweepd to re-run recovered jobs.
 // It re-derives the fingerprint and run count and fails on any
 // mismatch (a changed built-in, an edited embedded spec).
 func (m *Manifest) Rebuild() (*Spec, error) {
-	var spec *Spec
-	switch {
-	case m.Builtin != "":
-		s, ok := Builtin(m.Builtin)
-		if !ok {
-			return nil, fmt.Errorf("sweep: manifest references unknown built-in sweep %q", m.Builtin)
-		}
-		spec = s
-	case len(m.SpecJSON) > 0:
-		s, err := Parse([]byte(m.SpecJSON))
-		if err != nil {
-			return nil, fmt.Errorf("sweep: manifest's embedded spec: %v", err)
-		}
-		spec = s
-	default:
-		return nil, fmt.Errorf("sweep: manifest names neither a built-in nor an embedded spec")
+	spec, err := load([]byte(m.SpecJSON), m.Builtin)
+	if err != nil {
+		return nil, err
 	}
 	spec.Seeds = m.Seeds
 	spec.BaseSeed = m.BaseSeed
