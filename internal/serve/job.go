@@ -214,12 +214,4 @@ type SubmitRequest struct {
 	Quick    bool   `json:"quick,omitempty"`
 }
 
-// buildManifest validates the request's spec and turns it into the
-// job's journal manifest — the single identity both execution and
-// recovery rebuild the sweep from.
-func (r *SubmitRequest) buildManifest() (sweep.Manifest, error) {
-	_, m, err := sweep.Resolve(r.Spec, r.Builtin, r.Seeds, r.BaseSeed, r.Quick)
-	return m, err
-}
-
 func nowUnixMS() int64 { return time.Now().UnixMilli() }

@@ -195,7 +195,9 @@ func (s *Server) Submit(req *SubmitRequest) (JobView, error) {
 	if weight < 0 {
 		return JobView{}, fmt.Errorf("submit: weight must be > 0")
 	}
-	m, err := req.buildManifest()
+	// The manifest is the job's identity: execution and recovery both
+	// rebuild the sweep from it.
+	_, m, err := sweep.Resolve(req.Spec, req.Builtin, req.Seeds, req.BaseSeed, req.Quick)
 	if err != nil {
 		return JobView{}, err
 	}
