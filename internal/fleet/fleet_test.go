@@ -274,7 +274,7 @@ func TestSpecValidation(t *testing.T) {
 		{"duplicate tenant", func(s *Spec) { s.Tenants[1].Name = s.Tenants[0].Name }, "duplicate tenant"},
 		{"no population", func(s *Spec) { s.VCPUs = 0 }, "vCPU budget"},
 		{"missing mix", func(s *Spec) { s.Mix = nil }, "mix is missing"},
-		{"bad mix weight", func(s *Spec) { s.Mix = scenario.Mix{vcputype.LLCF: 0} }, "must be positive"},
+		{"bad mix", func(s *Spec) { s.Mix = scenario.Mix{vcputype.LLCF: 0} }, "must be positive"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
