@@ -1,13 +1,14 @@
-// Package catalog is the name → factory registry layer between the
+// Package catalog is the name → factory table layer between the
 // paper's concrete catalogue (machines, benchmark apps, colocation
 // scenarios, scheduling policies) and everything that references
 // experiment axes by name (sweep spec files, cmd/aqlsweep, the
-// experiments package). Each axis has a registry; the paper's entries
-// register themselves in papers.go, and new entries — generated
-// scenarios, custom machines — join through the same Register calls, so
-// spec authors and tools discover every valid name from one place.
+// experiments package). Each axis is a fixed table built once from the
+// paper's lists in papers.go, so spec authors and tools discover every
+// valid name from one place. Entries a spec file defines itself —
+// generated scenarios, inline machines — resolve in the sweep layer and
+// never enter a table.
 //
-// Registries hold factories, not values: every lookup constructs fresh
+// Tables hold factories, not values: every lookup constructs fresh
 // state, which is what lets the sweep layer run grid cells concurrently
 // without sharing topologies, app slices or policy controllers.
 package catalog
@@ -16,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"aqlsched/internal/hw"
 	"aqlsched/internal/metrics"
@@ -24,40 +24,22 @@ import (
 	"aqlsched/internal/workload"
 )
 
-// Registry is a concurrency-safe name → factory table for one kind of
-// catalog entry.
+// Registry is a name → entry table for one kind of catalog entry. It is
+// built once and never changes, so concurrent lookups need no lock.
 type Registry[T any] struct {
 	kind string
-	mu   sync.RWMutex
 	m    map[string]T
 }
 
-// NewRegistry returns an empty registry; kind names the entry type in
-// error messages ("scenario", "workload", ...).
-func NewRegistry[T any](kind string) *Registry[T] {
-	return &Registry[T]{kind: kind, m: map[string]T{}}
-}
-
-// Register adds an entry. It panics on an empty name or a duplicate:
-// registries are populated from init functions and a collision is a
-// programming error, not an input error.
-func (r *Registry[T]) Register(name string, v T) {
-	if name == "" {
-		panic("catalog: Register with empty " + r.kind + " name")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.m[name]; dup {
-		panic(fmt.Sprintf("catalog: %s %q registered twice", r.kind, name))
-	}
-	r.m[name] = v
+// NewRegistry returns the table of entries; kind names the entry type
+// in error messages ("scenario", "workload", ...).
+func NewRegistry[T any](kind string, entries map[string]T) *Registry[T] {
+	return &Registry[T]{kind: kind, m: entries}
 }
 
 // Lookup finds an entry by name.
 func (r *Registry[T]) Lookup(name string) (T, error) {
-	r.mu.RLock()
 	v, ok := r.m[name]
-	r.mu.RUnlock()
 	if !ok {
 		var zero T
 		return zero, fmt.Errorf("catalog: unknown %s %q (known: %s)", r.kind, name, strings.Join(r.Names(), ", "))
@@ -65,18 +47,14 @@ func (r *Registry[T]) Lookup(name string) (T, error) {
 	return v, nil
 }
 
-// Has reports whether name is registered.
+// Has reports whether name is in the table.
 func (r *Registry[T]) Has(name string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	_, ok := r.m[name]
 	return ok
 }
 
-// Names lists the registered names, sorted.
+// Names lists the table's names, sorted.
 func (r *Registry[T]) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	out := make([]string, 0, len(r.m))
 	for n := range r.m {
 		out = append(out, n)
@@ -85,7 +63,7 @@ func (r *Registry[T]) Names() []string {
 	return out
 }
 
-// --- Domain registries -----------------------------------------------------
+// --- Domain tables ---------------------------------------------------------
 
 // Policy is one resolvable policy axis point: the canonical display
 // name plus a constructor returning a fresh policy instance per run.
@@ -94,17 +72,20 @@ type Policy struct {
 	New  func() scenario.Policy
 }
 
-// Scenarios maps scenario names (S1..S5, four-socket, and anything
-// registered later) to spec constructors.
-var Scenarios = NewRegistry[func() scenario.Spec]("scenario")
+// Scenarios maps scenario names (Table 4's S1..S5, four-socket,
+// dynphase) to spec constructors.
+var Scenarios = NewRegistry("scenario", paperScenarios())
 
 // Workloads maps benchmark application names to AppSpec factories.
-var Workloads = NewRegistry[func() workload.AppSpec]("workload")
+var Workloads = NewRegistry("workload", paperWorkloads())
 
-// Topologies maps machine names (i7-3770, xeon-e5-4603) to topology
-// factories. Spec files resolve a scenario's "topology" here unless
-// they define the name inline.
-var Topologies = NewRegistry[func() *hw.Topology]("topology")
+// Topologies maps machine names to topology factories. Spec files
+// resolve a scenario's "topology" here unless they define the name
+// inline.
+var Topologies = NewRegistry("topology", map[string]func() *hw.Topology{
+	"i7-3770":      hw.I73770,
+	"xeon-e5-4603": hw.XeonE54603,
+})
 
 // TopologyByName returns a fresh copy of a registered machine.
 func TopologyByName(name string) (*hw.Topology, error) {
@@ -128,10 +109,10 @@ func WorkloadByName(name string) (workload.AppSpec, error) {
 // --- Policies ---------------------------------------------------------------
 //
 // Policies are parameterized ("fixed:10ms", "aql-w:8"), so the policy
-// axis is a plugin registry (plugin.go): a descriptor declaring
-// aliases and typed knobs plus a build function, from which the string
-// grammar, the spec-file {"policy": ...} block, and the -list
-// documentation all derive.
+// axis is a table of plugins (policyPlugins in papers.go): a descriptor
+// declaring aliases and typed knobs plus a build function, from which
+// the string grammar, the spec-file {"policy": ...} block, and the
+// -list documentation all derive (plugin.go).
 
 // ExtraAxis is an axis a layer above the catalog owns (the fleet's
 // placement policies): the catalog cannot import those packages without

@@ -5,54 +5,52 @@ import (
 	"time"
 
 	"aqlsched/internal/baselines"
-	"aqlsched/internal/hw"
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/sim"
 	"aqlsched/internal/workload"
 )
 
-// The paper's catalogue registers itself: its two machines, Table 4's
-// five colocation scenarios plus the four-socket case, the full
-// reference benchmark suite, and every scheduling policy of the
-// evaluation.
-func init() {
-	Topologies.Register("i7-3770", hw.I73770)
-	Topologies.Register("xeon-e5-4603", hw.XeonE54603)
-
-	// Scenarios. Seed 0 in the constructors: the sweep layer overrides
-	// the simulation seed per run.
+// paperScenarios is the scenario table: Table 4's five colocation
+// scenarios, the four-socket case and the dynamic-scenario entry
+// (phased VMs whose type flips mid-run, the adaptation experiment's
+// workload). Seed 0 in the constructors: the sweep layer overrides the
+// simulation seed per run.
+func paperScenarios() map[string]func() scenario.Spec {
+	m := map[string]func() scenario.Spec{
+		"four-socket": func() scenario.Spec { return scenario.FourSocket(0) },
+		"dynphase":    func() scenario.Spec { return scenario.DynPhase(0) },
+	}
 	for _, s := range scenario.Table4(0) {
 		name := s.Name
-		Scenarios.Register(name, func() scenario.Spec {
-			return scenario.ScenarioByName(name, 0)
-		})
+		m[name] = func() scenario.Spec { return scenario.ScenarioByName(name, 0) }
 	}
-	Scenarios.Register("four-socket", func() scenario.Spec {
-		return scenario.FourSocket(0)
-	})
-	// The dynamic-scenario catalogue entry: phased VMs whose type flips
-	// mid-run (the adaptation experiment's workload).
-	Scenarios.Register("dynphase", func() scenario.Spec {
-		return scenario.DynPhase(0)
-	})
+	return m
+}
 
-	// Workloads: the reference suite (SPECweb2009, SPECmail2009,
-	// SPEC CPU2006, PARSEC).
+// paperWorkloads is the workload table: the reference suite
+// (SPECweb2009, SPECmail2009, SPEC CPU2006, PARSEC).
+func paperWorkloads() map[string]func() workload.AppSpec {
+	m := map[string]func() workload.AppSpec{}
 	for _, s := range workload.Suite() {
 		s := s
-		Workloads.Register(s.Name, func() workload.AppSpec { return s })
+		m[s.Name] = func() workload.AppSpec { return s }
 	}
+	return m
+}
 
-	// Policies: every spelling of the evaluation registers as a plugin —
-	// the descriptor declares the aliases and typed knobs, and the
-	// grammar/spec-file/-list surfaces all derive from it.
-	RegisterPolicyPlugin(PolicyDesc{
+// policyPlugins is the policy axis: every scheduling policy of the
+// evaluation, as a descriptor declaring its aliases and typed knobs
+// plus a build function. The grammar, spec-file and -list surfaces all
+// derive from it, and PolicyGrammar lists the parameterized forms in
+// this order. TestPolicyTable checks the declarations.
+var policyPlugins = []policyPlugin{
+	{PolicyDesc{
 		Name:    "xen",
 		Aliases: []string{"xen-credit"},
 		Help:    "unmodified Xen credit scheduler (30 ms quantum, BOOST)",
-	}, func(Params) (Policy, error) { return XenPolicy(), nil })
+	}, func(Params) Policy { return XenPolicy() }},
 
-	RegisterPolicyPlugin(PolicyDesc{
+	{PolicyDesc{
 		Name:       "aql",
 		Help:       "the paper's AQL_Sched: vTRS recognition + two-level clustering + per-pool quanta",
 		Positional: "window",
@@ -61,14 +59,14 @@ func init() {
 			Help: "vTRS sliding-window length n (paper default 4)",
 			Min:  "1", Max: "64",
 		}},
-	}, func(p Params) (Policy, error) {
+	}, func(p Params) Policy {
 		if n, ok := p.Int("window"); ok {
-			return AQLWindowPolicy(n), nil
+			return AQLWindowPolicy(n)
 		}
-		return AQLPolicy(), nil
-	})
+		return AQLPolicy()
+	}},
 
-	RegisterPolicyPlugin(PolicyDesc{
+	{PolicyDesc{
 		Name:       "aql-w",
 		Help:       "AQL at a non-default vTRS window (the reactivity-vs-churn axis)",
 		Positional: "n",
@@ -76,12 +74,12 @@ func init() {
 			Name: "n", Kind: scenario.ParamInt, Hint: "<periods>",
 			Help: "vTRS sliding-window length", Min: "1", Max: "64", Required: true,
 		}},
-	}, func(p Params) (Policy, error) {
+	}, func(p Params) Policy {
 		n, _ := p.Int("n")
-		return AQLWindowPolicy(n), nil
-	})
+		return AQLWindowPolicy(n)
+	}},
 
-	RegisterPolicyPlugin(PolicyDesc{
+	{PolicyDesc{
 		Name:       "aql-nocustom",
 		Help:       "Fig. 7 ablation: clustering active, every pool at one fixed quantum",
 		Positional: "q",
@@ -89,12 +87,12 @@ func init() {
 			Name: "q", Kind: scenario.ParamDuration,
 			Help: "the fixed per-pool quantum", Required: true,
 		}},
-	}, func(p Params) (Policy, error) {
+	}, func(p Params) Policy {
 		q, _ := p.Duration("q")
-		return AQLNoCustomPolicy(q), nil
-	})
+		return AQLNoCustomPolicy(q)
+	}},
 
-	RegisterPolicyPlugin(PolicyDesc{
+	{PolicyDesc{
 		Name:       "fixed",
 		Help:       "every vCPU in one pool at a fixed quantum",
 		Positional: "q",
@@ -102,27 +100,33 @@ func init() {
 			Name: "q", Kind: scenario.ParamDuration,
 			Help: "the quantum", Required: true,
 		}},
-	}, func(p Params) (Policy, error) {
+	}, func(p Params) Policy {
 		q, _ := p.Duration("q")
-		return FixedPolicy(q), nil
-	})
+		return FixedPolicy(q)
+	}},
 
-	RegisterPolicyPlugin(PolicyDesc{
+	{PolicyDesc{
 		Name: "vturbo",
 		Help: "dedicated turbo cores at a small quantum for IO vCPUs (related system, Fig. 8)",
-	}, func(Params) (Policy, error) { return VTurboPolicy(), nil })
+	}, func(Params) Policy {
+		return policy(func() scenario.Policy { return baselines.VTurbo{} })
+	}},
 
-	RegisterPolicyPlugin(PolicyDesc{
+	{PolicyDesc{
 		Name: "vslicer",
 		Help: "shorter slices for IO vCPUs on shared pools (related system, Fig. 8)",
-	}, func(Params) (Policy, error) { return VSlicerPolicy(), nil })
+	}, func(Params) Policy {
+		return policy(func() scenario.Policy { return baselines.VSlicer{} })
+	}},
 
-	RegisterPolicyPlugin(PolicyDesc{
+	{PolicyDesc{
 		Name: "microsliced",
 		Help: "1 ms quantum for every vCPU (related system, Fig. 8)",
-	}, func(Params) (Policy, error) { return MicroslicedPolicy(), nil })
+	}, func(Params) Policy {
+		return policy(func() scenario.Policy { return baselines.Microsliced() })
+	}},
 
-	RegisterPolicyPlugin(PolicyDesc{
+	{PolicyDesc{
 		Name:       "hetero-aql",
 		Help:       "class-aware AQL: latency vCPUs pool onto the fastest core class; plain AQL on homogeneous machines",
 		Positional: "fast_q",
@@ -130,12 +134,12 @@ func init() {
 			Name: "fast_q", Kind: scenario.ParamDuration,
 			Help: "quantum of the fast-class pool", Default: "1ms",
 		}},
-	}, func(p Params) (Policy, error) {
+	}, func(p Params) Policy {
 		q, _ := p.Duration("fast_q")
-		return HeteroAQLPolicy(q), nil
-	})
+		return policy(func() scenario.Policy { return &baselines.HeteroAQL{FastQ: q} })
+	}},
 
-	RegisterPolicyPlugin(PolicyDesc{
+	{PolicyDesc{
 		Name:       "edf",
 		Help:       "deadline-aware quantum policy; reports deadline_miss_ratio over per-dispatch scheduling delays",
 		Positional: "deadline",
@@ -143,10 +147,10 @@ func init() {
 			Name: "deadline", Kind: scenario.ParamDuration,
 			Help: "per-dispatch scheduling-delay bound", Required: true,
 		}},
-	}, func(p Params) (Policy, error) {
+	}, func(p Params) Policy {
 		d, _ := p.Duration("deadline")
-		return EDFPolicy(d), nil
-	})
+		return policy(func() scenario.Policy { return &baselines.EDF{Deadline: d} })
+	}},
 }
 
 // policy names an axis point by the policy mk builds; every run calls
@@ -183,37 +187,6 @@ func AQLNoCustomPolicy(q sim.Time) Policy {
 // FixedPolicy runs every vCPU at quantum q in one pool.
 func FixedPolicy(q sim.Time) Policy {
 	return policy(func() scenario.Policy { return baselines.FixedQuantum{Q: q} })
-}
-
-// VTurboPolicy, VSlicerPolicy and MicroslicedPolicy are the related
-// systems of Fig. 8, manually configured as in the paper.
-func VTurboPolicy() Policy {
-	return policy(func() scenario.Policy { return baselines.VTurbo{} })
-}
-
-// VSlicerPolicy differentiates IO-intensive slices on shared pools.
-func VSlicerPolicy() Policy {
-	return policy(func() scenario.Policy { return baselines.VSlicer{} })
-}
-
-// MicroslicedPolicy shortens the quantum for every vCPU.
-func MicroslicedPolicy() Policy {
-	return policy(func() scenario.Policy { return baselines.Microsliced() })
-}
-
-// HeteroAQLPolicy is the heterogeneous-topology consumer of the AQL
-// machinery: on machines with core classes it pools latency vCPUs onto
-// the fastest class at quantum fastQ; on homogeneous machines it is
-// plain AQL.
-func HeteroAQLPolicy(fastQ sim.Time) Policy {
-	return policy(func() scenario.Policy { return &baselines.HeteroAQL{FastQ: fastQ} })
-}
-
-// EDFPolicy runs every vCPU at a deadline-derived quantum and counts
-// per-dispatch scheduling delays against the deadline (the
-// deadline_miss_ratio metric).
-func EDFPolicy(deadline sim.Time) Policy {
-	return policy(func() scenario.Policy { return &baselines.EDF{Deadline: deadline} })
 }
 
 // ParseQuantum parses a quantum duration argument ("10ms", "90ms").

@@ -5,20 +5,20 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/sim"
 )
 
-// --- Policy plugin registry -------------------------------------------------
+// --- Policy plugins ---------------------------------------------------------
 //
-// Every policy — the paper's baselines included — registers through one
-// RegisterPolicyPlugin call: a descriptor (aliases, typed parameters)
-// plus a build function. The registry derives everything downstream
-// from the descriptor: the "name:k=v,k=v" string grammar spec files and
-// CLIs use, validation of the {"policy": {"name": ..., "params": ...}}
-// spec-file block, and the -list self-documentation.
+// Every policy — the paper's baselines included — is one entry of the
+// policyPlugins table (papers.go): a descriptor (aliases, typed
+// parameters) plus a build function. Everything downstream derives from
+// the descriptor: the "name:k=v,k=v" string grammar spec files and CLIs
+// use, validation of the {"policy": {"name": ..., "params": ...}}
+// spec-file block, and the -list self-documentation. Both spellings
+// feed their values through one per-parameter parser (set).
 
 // PolicyDesc declares one policy plugin; GET /v1/catalog serves it as
 // the plugin's documentation.
@@ -58,92 +58,33 @@ func (p Params) Duration(name string) (sim.Time, bool) {
 
 type policyPlugin struct {
 	desc  PolicyDesc
-	build func(Params) (Policy, error)
+	build func(Params) Policy
 }
 
-var (
-	pluginMu      sync.RWMutex
-	plugins       []*policyPlugin // registration order, for grammar listings
-	pluginByAlias = map[string]*policyPlugin{}
-)
-
-// RegisterPolicyPlugin registers a policy plugin. It panics on an
-// invalid descriptor or a duplicate alias: plugins register from init
-// functions and a collision is a programming error, not an input error.
-func RegisterPolicyPlugin(desc PolicyDesc, build func(Params) (Policy, error)) {
-	if desc.Name == "" {
-		panic("catalog: RegisterPolicyPlugin with empty name")
-	}
-	if build == nil {
-		panic(fmt.Sprintf("catalog: policy plugin %q has no build function", desc.Name))
-	}
-	seen := map[string]bool{}
-	for _, d := range desc.Params {
-		if d.Name == "" {
-			panic(fmt.Sprintf("catalog: policy plugin %q declares an unnamed parameter", desc.Name))
-		}
-		if seen[d.Name] {
-			panic(fmt.Sprintf("catalog: policy plugin %q declares parameter %q twice", desc.Name, d.Name))
-		}
-		seen[d.Name] = true
-		switch d.Kind {
-		case scenario.ParamInt, scenario.ParamDuration:
-		default:
-			panic(fmt.Sprintf("catalog: policy plugin %q parameter %q has unknown kind %q", desc.Name, d.Name, d.Kind))
-		}
-		// Defaults and bounds must themselves parse under the kind.
-		for _, txt := range []string{d.Default, d.Min, d.Max} {
-			if txt == "" {
-				continue
-			}
-			if _, err := coerceText(d, txt); err != nil {
-				panic(fmt.Sprintf("catalog: policy plugin %q parameter %q: bad declaration value %q: %v", desc.Name, d.Name, txt, err))
-			}
-		}
-	}
-	if desc.Positional != "" && !seen[desc.Positional] {
-		panic(fmt.Sprintf("catalog: policy plugin %q positional %q is not a declared parameter", desc.Name, desc.Positional))
-	}
-	pl := &policyPlugin{desc: desc, build: build}
-	aliases := append([]string{desc.Name}, desc.Aliases...)
-	pluginMu.Lock()
-	defer pluginMu.Unlock()
-	// Validate every alias before inserting any, so a panicking
-	// registration leaves the registry untouched.
-	for _, alias := range aliases {
-		if alias == "" {
-			panic(fmt.Sprintf("catalog: policy plugin %q has an empty alias", desc.Name))
-		}
-		if strings.Contains(alias, ":") {
-			panic(fmt.Sprintf("catalog: policy plugin alias %q may not contain %q", alias, ":"))
-		}
-		if _, dup := pluginByAlias[alias]; dup {
-			panic(fmt.Sprintf("catalog: policy %q registered twice", alias))
-		}
-	}
-	for _, alias := range aliases {
-		pluginByAlias[alias] = pl
-	}
-	plugins = append(plugins, pl)
-}
-
-// PolicyPlugins lists the registered plugin descriptors sorted by name
-// (the -list self-documentation surface).
+// PolicyPlugins lists the plugin descriptors sorted by name (the -list
+// self-documentation surface).
 func PolicyPlugins() []PolicyDesc {
-	pluginMu.RLock()
-	defer pluginMu.RUnlock()
-	out := make([]PolicyDesc, 0, len(plugins))
-	for _, pl := range plugins {
-		out = append(out, pl.desc)
+	out := make([]PolicyDesc, len(policyPlugins))
+	for i, pl := range policyPlugins {
+		out[i] = pl.desc
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
 func lookupPlugin(alias string) *policyPlugin {
-	pluginMu.RLock()
-	defer pluginMu.RUnlock()
-	return pluginByAlias[alias]
+	for i := range policyPlugins {
+		pl := &policyPlugins[i]
+		if pl.desc.Name == alias {
+			return pl
+		}
+		for _, a := range pl.desc.Aliases {
+			if a == alias {
+				return pl
+			}
+		}
+	}
+	return nil
 }
 
 // PolicyByName resolves a policy axis point from its string spelling:
@@ -158,21 +99,28 @@ func PolicyByName(name string) (Policy, error) {
 	}
 	params := Params{}
 	if hasArg {
-		if err := pl.parseArgs(arg, params); err != nil {
-			return Policy{}, err
+		for _, part := range strings.Split(arg, ",") {
+			key, val, named := strings.Cut(part, "=")
+			if !named {
+				if pl.desc.Positional == "" {
+					return Policy{}, fmt.Errorf("catalog: policy %q takes no positional argument; want %s", pl.desc.Name, pl.grammarOrBare())
+				}
+				key, val = pl.desc.Positional, part
+			}
+			if err := pl.set(params, key, val); err != nil {
+				return Policy{}, err
+			}
 		}
 	}
-	if err := pl.finish(params); err != nil {
-		return Policy{}, err
-	}
-	return pl.build(params)
+	return pl.finish(params)
 }
 
 // PolicyFromConfig resolves a policy from a spec file's structured
 // {"policy": {"name": ..., "params": {...}}} block: name is a plugin
-// alias (no ":" arguments) and params holds JSON values — strings in
-// the same spellings the grammar accepts, or JSON numbers for numeric
-// kinds.
+// alias (no ":" arguments) and params holds decoded JSON values. Each
+// value parses exactly like grammar text: a string as is, a number as
+// its shortest decimal spelling ("window": 8 is aql:window=8), and
+// anything else as fmt.Sprint renders it, which no kind accepts.
 func PolicyFromConfig(name string, raw map[string]any) (Policy, error) {
 	if strings.Contains(name, ":") {
 		return Policy{}, fmt.Errorf("catalog: policy block name %q may not carry %q arguments; use the params object", name, ":")
@@ -188,33 +136,28 @@ func PolicyFromConfig(name string, raw map[string]any) (Policy, error) {
 	}
 	sort.Strings(keys) // deterministic first-error selection
 	for _, k := range keys {
-		d, ok := pl.param(k)
-		if !ok {
-			return Policy{}, fmt.Errorf("catalog: policy %q has no parameter %q (declared: %s)", pl.desc.Name, k, strings.Join(pl.paramNames(), ", "))
+		var text string
+		switch v := raw[k].(type) {
+		case string:
+			text = v
+		case float64:
+			text = strconv.FormatFloat(v, 'f', -1, 64)
+		default:
+			text = fmt.Sprint(v)
 		}
-		v, err := coerceJSON(d, raw[k])
-		if err != nil {
+		if err := pl.set(params, k, text); err != nil {
 			return Policy{}, err
 		}
-		if err := checkRange(d, v); err != nil {
-			return Policy{}, err
-		}
-		params[k] = v
 	}
-	if err := pl.finish(params); err != nil {
-		return Policy{}, err
-	}
-	return pl.build(params)
+	return pl.finish(params)
 }
 
 // PolicyGrammar lists every valid policy spelling: the bare aliases
 // (sorted) plus the parameterized forms ("fixed:<duration>",
-// "aql-w:<periods>") in plugin registration order.
+// "aql-w:<periods>") in policyPlugins order.
 func PolicyGrammar() []string {
-	pluginMu.RLock()
-	defer pluginMu.RUnlock()
 	var bare, parameterized []string
-	for _, pl := range plugins {
+	for _, pl := range policyPlugins {
 		if pl.bareResolvable() {
 			bare = append(bare, pl.desc.Name)
 			bare = append(bare, pl.desc.Aliases...)
@@ -273,33 +216,24 @@ func (pl *policyPlugin) grammarForm() string {
 	return pl.desc.Name + ":" + strings.Join(parts, ",")
 }
 
-// parseArgs parses the text after the ":" — comma-separated "key=value"
-// pairs, plus at most one bare value for the positional parameter.
-func (pl *policyPlugin) parseArgs(arg string, params Params) error {
-	for _, part := range strings.Split(arg, ",") {
-		key, val, named := strings.Cut(part, "=")
-		if !named {
-			if pl.desc.Positional == "" {
-				return fmt.Errorf("catalog: policy %q takes no positional argument; want %s", pl.desc.Name, pl.grammarOrBare())
-			}
-			key, val = pl.desc.Positional, part
-		}
-		d, ok := pl.param(key)
-		if !ok {
-			return fmt.Errorf("catalog: policy %q has no parameter %q (declared: %s)", pl.desc.Name, key, strings.Join(pl.paramNames(), ", "))
-		}
-		if _, dup := params[key]; dup {
-			return fmt.Errorf("catalog: policy %q parameter %q given twice", pl.desc.Name, key)
-		}
-		v, err := coerceText(d, val)
-		if err != nil {
-			return err
-		}
-		if err := checkRange(d, v); err != nil {
-			return err
-		}
-		params[key] = v
+// set parses one parameter's text under its declared kind and records
+// it: the one per-parameter path of both policy spellings.
+func (pl *policyPlugin) set(params Params, key, text string) error {
+	d, ok := pl.param(key)
+	if !ok {
+		return fmt.Errorf("catalog: policy %q has no parameter %q (declared: %s)", pl.desc.Name, key, strings.Join(pl.paramNames(), ", "))
 	}
+	if _, dup := params[key]; dup {
+		return fmt.Errorf("catalog: policy %q parameter %q given twice", pl.desc.Name, key)
+	}
+	v, err := coerceText(d, text)
+	if err != nil {
+		return err
+	}
+	if err := checkRange(d, v); err != nil {
+		return err
+	}
+	params[key] = v
 	return nil
 }
 
@@ -310,25 +244,22 @@ func (pl *policyPlugin) grammarOrBare() string {
 	return pl.desc.Name
 }
 
-// finish applies declared defaults and enforces required parameters.
-func (pl *policyPlugin) finish(params Params) error {
+// finish applies declared defaults, enforces required parameters and
+// builds the policy.
+func (pl *policyPlugin) finish(params Params) (Policy, error) {
 	for _, d := range pl.desc.Params {
 		if _, set := params[d.Name]; set {
 			continue
 		}
 		if d.Default != "" {
-			v, err := coerceText(d, d.Default)
-			if err != nil {
-				return err // unreachable: declaration values are pre-validated
-			}
-			params[d.Name] = v
+			params[d.Name], _ = coerceText(d, d.Default) // TestPolicyTable parses every default
 			continue
 		}
 		if d.Required {
-			return fmt.Errorf("catalog: policy %q requires %s (want %s)", pl.desc.Name, d.Name, pl.grammarOrBare())
+			return Policy{}, fmt.Errorf("catalog: policy %q requires %s (want %s)", pl.desc.Name, d.Name, pl.grammarOrBare())
 		}
 	}
-	return nil
+	return pl.build(params), nil
 }
 
 // coerceText parses one textual parameter value under its declared
@@ -344,79 +275,19 @@ func coerceText(d scenario.ParamDesc, raw string) (any, error) {
 	return n, nil
 }
 
-// coerceJSON converts one decoded JSON value (string, number) to the
-// parameter's kind. Strings take the same spellings the grammar does;
-// numbers are accepted for the int kind (integral only).
-func coerceJSON(d scenario.ParamDesc, v any) (any, error) {
-	switch x := v.(type) {
-	case string:
-		return coerceText(d, x)
-	case int:
-		// JSON decoding never produces int, but Go-authored builtin
-		// specs do; fold into the float64 path.
-		return coerceJSON(d, float64(x))
-	case float64:
-		if d.Kind == scenario.ParamDuration {
-			return nil, fmt.Errorf("catalog: bad %s %v: want a duration string like \"5ms\"", d.Name, x)
-		}
-		n := int64(x)
-		if float64(n) != x {
-			return nil, fmt.Errorf("catalog: bad %s %v: want an integer%s", d.Name, x, rangeNote(d))
-		}
-		return n, nil
-	}
-	want := "a string"
-	if d.Kind == scenario.ParamInt {
-		want += " or number"
-	}
-	return nil, fmt.Errorf("catalog: bad %s value %v (%T): want %s", d.Name, v, v, want)
-}
-
-// checkRange enforces the declared inclusive [Min, Max] bounds.
+// checkRange enforces an int parameter's declared inclusive [Min, Max]
+// bounds; TestPolicyTable keeps other kinds unbounded.
 func checkRange(d scenario.ParamDesc, v any) error {
-	if d.Min == "" && d.Max == "" {
+	n, ok := v.(int64)
+	if !ok {
 		return nil
 	}
-	out := fmt.Errorf("catalog: bad %s %s: want %s in [%s, %s]", d.Name, render(v), kindNoun(d.Kind), orInf(d.Min), orInf(d.Max))
-	switch x := v.(type) {
-	case int64:
-		if d.Min != "" {
-			if min, _ := strconv.ParseInt(d.Min, 10, 64); x < min {
-				return out
-			}
-		}
-		if d.Max != "" {
-			if max, _ := strconv.ParseInt(d.Max, 10, 64); x > max {
-				return out
-			}
-		}
-	case sim.Time:
-		if d.Min != "" {
-			if min, _ := ParseQuantum(d.Min); x < min {
-				return out
-			}
-		}
-		if d.Max != "" {
-			if max, _ := ParseQuantum(d.Max); x > max {
-				return out
-			}
-		}
+	min, errMin := strconv.ParseInt(d.Min, 10, 64)
+	max, errMax := strconv.ParseInt(d.Max, 10, 64)
+	if (errMin == nil && n < min) || (errMax == nil && n > max) {
+		return fmt.Errorf("catalog: bad %s %d: want an integer%s", d.Name, n, rangeNote(d))
 	}
 	return nil
-}
-
-func render(v any) string {
-	if t, ok := v.(sim.Time); ok {
-		return t.String()
-	}
-	return fmt.Sprint(v)
-}
-
-func kindNoun(k scenario.ParamKind) string {
-	if k == scenario.ParamInt {
-		return "an integer"
-	}
-	return "a duration"
 }
 
 func orInf(bound string) string {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"aqlsched/internal/baselines"
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/sim"
 )
@@ -44,45 +45,48 @@ func TestPluginOutOfRange(t *testing.T) {
 	}
 }
 
-// TestPluginDuplicateRegistration: registering over an existing alias
-// must panic — silent shadowing would make the axis ambiguous.
-func TestPluginDuplicateRegistration(t *testing.T) {
-	cases := []PolicyDesc{
-		{Name: "xen"}, // canonical name taken
-		{Name: "zz-fresh", Aliases: []string{"xen-credit"}}, // alias taken
-	}
-	for _, desc := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("registering %+v did not panic", desc)
+// TestPolicyTable checks every declaration of the policy table: names
+// and aliases are non-empty, unique and free of ":", each parameter is
+// named once with a known kind, the positional parameter is declared,
+// defaults and bounds parse under their kind, and only int parameters
+// declare bounds.
+func TestPolicyTable(t *testing.T) {
+	seen := map[string]bool{}
+	for _, pl := range policyPlugins {
+		d := pl.desc
+		if pl.build == nil {
+			t.Errorf("policy %q has no build function", d.Name)
+		}
+		for _, alias := range append([]string{d.Name}, d.Aliases...) {
+			if alias == "" || strings.Contains(alias, ":") || seen[alias] {
+				t.Errorf("policy %q: alias %q is empty, holds \":\" or is taken", d.Name, alias)
+			}
+			seen[alias] = true
+		}
+		params := map[string]bool{}
+		for _, p := range d.Params {
+			if p.Name == "" || params[p.Name] {
+				t.Errorf("policy %q: parameter %q is unnamed or declared twice", d.Name, p.Name)
+			}
+			params[p.Name] = true
+			if p.Kind != scenario.ParamInt && p.Kind != scenario.ParamDuration {
+				t.Errorf("policy %q parameter %q has unknown kind %q", d.Name, p.Name, p.Kind)
+			}
+			if p.Kind != scenario.ParamInt && (p.Min != "" || p.Max != "") {
+				t.Errorf("policy %q parameter %q: only int parameters may declare bounds", d.Name, p.Name)
+			}
+			for _, txt := range []string{p.Default, p.Min, p.Max} {
+				if txt == "" {
+					continue
 				}
-			}()
-			RegisterPolicyPlugin(desc, func(Params) (Policy, error) { return XenPolicy(), nil })
-		}()
-	}
-}
-
-// TestPluginDescValidation: broken descriptors (undeclared positional,
-// ":" in an alias, unparseable default) must be rejected at
-// registration, not at first use.
-func TestPluginDescValidation(t *testing.T) {
-	cases := []PolicyDesc{
-		{Name: "zz-a", Positional: "ghost"},
-		{Name: "zz-b", Aliases: []string{"zz:b"}},
-		{Name: "zz-c", Params: []scenario.ParamDesc{{Name: "q", Kind: scenario.ParamDuration, Default: "zebra"}}},
-		{Name: "zz-d", Params: []scenario.ParamDesc{{Name: "n", Kind: scenario.ParamInt, Min: "high"}}},
-		{Name: "zz-e", Params: []scenario.ParamDesc{{Name: "x", Kind: "blob"}}},
-	}
-	for _, desc := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("registering %+v did not panic", desc)
+				if _, err := coerceText(p, txt); err != nil {
+					t.Errorf("policy %q parameter %q: bad declaration value %q: %v", d.Name, p.Name, txt, err)
 				}
-			}()
-			RegisterPolicyPlugin(desc, func(Params) (Policy, error) { return XenPolicy(), nil })
-		}()
+			}
+		}
+		if d.Positional != "" && !params[d.Positional] {
+			t.Errorf("policy %q: positional %q is not a declared parameter", d.Name, d.Positional)
+		}
 	}
 }
 
@@ -151,7 +155,7 @@ func TestPolicyFromConfigCoercion(t *testing.T) {
 }
 
 // TestLegacySpellingsMatchConstructors: every pre-plugin spelling must
-// resolve through the registry to exactly the Policy the direct
+// resolve through the policy table to exactly the Policy the direct
 // constructor builds — same axis name, deep-equal fresh instances.
 // This is the refactor's no-regression contract: sweep artifacts key on
 // Policy.Name, so name identity plus instance equality keeps every
@@ -168,11 +172,11 @@ func TestLegacySpellingsMatchConstructors(t *testing.T) {
 		{"aql:window=2", AQLWindowPolicy(2)},
 		{"aql-nocustom:5ms", AQLNoCustomPolicy(5 * sim.Millisecond)},
 		{"fixed:10ms", FixedPolicy(10 * sim.Millisecond)},
-		{"vturbo", VTurboPolicy()},
-		{"vslicer", VSlicerPolicy()},
-		{"microsliced", MicroslicedPolicy()},
-		{"hetero-aql", HeteroAQLPolicy(sim.Millisecond)},
-		{"edf:10ms", EDFPolicy(10 * sim.Millisecond)},
+		{"vturbo", policy(func() scenario.Policy { return baselines.VTurbo{} })},
+		{"vslicer", policy(func() scenario.Policy { return baselines.VSlicer{} })},
+		{"microsliced", policy(func() scenario.Policy { return baselines.Microsliced() })},
+		{"hetero-aql", policy(func() scenario.Policy { return &baselines.HeteroAQL{FastQ: sim.Millisecond} })},
+		{"edf:10ms", policy(func() scenario.Policy { return &baselines.EDF{Deadline: 10 * sim.Millisecond} })},
 	}
 	for _, c := range cases {
 		got, err := PolicyByName(c.spelling)

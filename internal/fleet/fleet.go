@@ -210,7 +210,7 @@ func Run(spec Spec, opts Options) *Result {
 		tenantShares:    make([][]float64, len(sp.Tenants)),
 		timeline:        sim.NewEngine(),
 	}
-	f.placer, err = PlacementByName(sp.Placement)
+	f.placer, err = Placements.Lookup(sp.Placement)
 	if err != nil {
 		panic(err.Error())
 	}

@@ -16,26 +16,15 @@ type Placement interface {
 	Choose(f *Fleet, pending []*VM) (vmIdx int, host *Host, ok bool)
 }
 
-// Placements is the placement-policy registry, the fleet's axis in the
+// Placements is the placement-policy table, the fleet's axis in the
 // catalog: spec files validate "placement" entries against it and
-// aqlsweep -list prints it alongside the quantum-policy grammar.
-var Placements = catalog.NewRegistry[func() Placement]("placement")
-
-func init() {
-	Placements.Register("least-loaded", func() Placement { return leastLoaded{} })
-	Placements.Register("bin-pack", func() Placement { return binPack{} })
-	Placements.Register("tenant-fairshare", func() Placement { return fairShare{} })
-}
-
-// PlacementByName resolves a placement policy, with the registry's
-// clean unknown-name error for user-supplied spec files.
-func PlacementByName(name string) (Placement, error) {
-	f, err := Placements.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return f(), nil
-}
+// aqlsweep -list prints it alongside the quantum-policy grammar. The
+// placements keep no state, so every fleet shares these values.
+var Placements = catalog.NewRegistry("placement", map[string]Placement{
+	"least-loaded":     leastLoaded{},
+	"bin-pack":         binPack{},
+	"tenant-fairshare": fairShare{},
+})
 
 // fits reports whether host h can admit demand more vCPUs right now: a
 // down host admits nothing, a degraded host only up to its effective
