@@ -136,25 +136,15 @@ func Suite() []AppSpec {
 	return out
 }
 
-// Lookup finds an application spec by name in the full suite,
-// reporting an error for unknown names. This is the resolution entry
-// point for user-supplied names (sweep spec files, the catalog), where
-// a typo must surface as a clean error, not a panic.
-func Lookup(name string) (AppSpec, error) {
+// ByName finds an application spec by name in the full suite, for
+// callers with statically known names: it panics on an unknown one.
+// User-supplied names (spec files) resolve through
+// catalog.WorkloadByName, which reports a clean error instead.
+func ByName(name string) AppSpec {
 	for _, s := range Suite() {
 		if s.Name == name {
-			return s, nil
+			return s
 		}
 	}
-	return AppSpec{}, fmt.Errorf("workload: unknown application %q", name)
-}
-
-// ByName is Lookup for internal callers with statically known names:
-// it panics on unknown names.
-func ByName(name string) AppSpec {
-	s, err := Lookup(name)
-	if err != nil {
-		panic(err.Error())
-	}
-	return s
+	panic(fmt.Sprintf("workload: unknown application %q", name))
 }
