@@ -4,14 +4,11 @@
 // adaptation diagnostics.
 //
 // Scenario and policy names resolve through the internal/catalog
-// registries — the same grammar sweep spec files use. `aqlsweep -list`
+// tables — the same grammar sweep spec files use. `aqlsweep -list`
 // prints every valid name and the full policy grammar:
 //
 //	aqlsim -scenario S1..S5|four-socket|dynphase -policy <policy>
-//	       [-quantum 30ms] [-warmup 2s] [-measure 6s] [-seed N]
-//
-// `-policy fixed -quantum 5ms` is accepted as back-compat sugar for
-// `-policy fixed:5ms`.
+//	       [-warmup 2s] [-measure 6s] [-seed N]
 package main
 
 import (
@@ -50,7 +47,6 @@ func fmtMetric(name string, v float64) string {
 func main() {
 	scen := flag.String("scenario", "S5", "catalog scenario name (aqlsweep -list prints them)")
 	policy := flag.String("policy", "aql", "catalog policy name or parameterized form such as fixed:5ms (aqlsweep -list prints the grammar)")
-	quantum := flag.Duration("quantum", 30*time.Millisecond, "back-compat: with -policy fixed, shorthand for fixed:<quantum>")
 	warmup := flag.Duration("warmup", 2*time.Second, "warm-up window (simulated)")
 	measure := flag.Duration("measure", 6*time.Second, "measurement window (simulated)")
 	seed := flag.Uint64("seed", 0xA91, "simulation seed")
@@ -66,12 +62,7 @@ func main() {
 		fail("unknown scenario %q (known: %s)", *scen, strings.Join(catalog.Scenarios.Names(), ", "))
 	}
 
-	polName := *policy
-	if polName == "fixed" {
-		// Pre-catalog spelling: -policy fixed -quantum 5ms.
-		polName = fmt.Sprintf("fixed:%s", *quantum)
-	}
-	p, err := catalog.PolicyByName(polName)
+	p, err := catalog.PolicyByName(*policy)
 	if err != nil {
 		fail("%v", err)
 	}
