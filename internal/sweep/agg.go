@@ -230,6 +230,35 @@ func aggregate(spec *Spec, runs []RunResult) []Cell {
 		}
 	}
 
+	// metricsOf aggregates descs over the replications of cell (si, pi),
+	// normalized against the baseline policy's replications when the
+	// sweep has one. setOf picks the measured Set out of one run, or nil
+	// when the run has none for this slot. The result is never nil, so
+	// an app with no metrics emits "metrics": [].
+	metricsOf := func(si, pi int, descs []metrics.Desc, setOf func(*RunResult) *metrics.Set) []CellMetric {
+		sample := func(pi int, name string) func(k int) (float64, bool) {
+			return func(k int) (float64, bool) {
+				if rr := runAt(si, pi, k); rr != nil {
+					if set := setOf(rr); set != nil {
+						return set.Get(name)
+					}
+				}
+				return 0, false
+			}
+		}
+		out := []CellMetric{}
+		for _, d := range descs {
+			var getBase func(k int) (float64, bool)
+			if baselineIdx >= 0 {
+				getBase = sample(baselineIdx, d.Name)
+			}
+			if cm := collectMetric(d, n, sample(pi, d.Name), getBase); cm != nil {
+				out = append(out, *cm)
+			}
+		}
+		return out
+	}
+
 	var cells []Cell
 	for si := range spec.Scenarios {
 		for pi := range spec.Policies {
@@ -253,55 +282,15 @@ func aggregate(spec *Spec, runs []RunResult) []Cell {
 				continue
 			}
 			for ai, am := range first.Apps {
-				ca := CellApp{App: am.Name, Type: am.Expected.String(), Metrics: []CellMetric{}}
-				for _, d := range perApp {
-					d := d
-					get := func(k int) (float64, bool) {
-						rr := runAt(si, pi, k)
-						if rr == nil || ai >= len(rr.Apps) {
-							return 0, false
+				cell.Apps = append(cell.Apps, CellApp{App: am.Name, Type: am.Expected.String(),
+					Metrics: metricsOf(si, pi, perApp, func(rr *RunResult) *metrics.Set {
+						if ai >= len(rr.Apps) {
+							return nil
 						}
-						return rr.Apps[ai].Metrics.Get(d.Name)
-					}
-					var getBase func(k int) (float64, bool)
-					if baselineIdx >= 0 {
-						getBase = func(k int) (float64, bool) {
-							rr := runAt(si, baselineIdx, k)
-							if rr == nil || ai >= len(rr.Apps) {
-								return 0, false
-							}
-							return rr.Apps[ai].Metrics.Get(d.Name)
-						}
-					}
-					if cm := collectMetric(d, n, get, getBase); cm != nil {
-						ca.Metrics = append(ca.Metrics, *cm)
-					}
-				}
-				cell.Apps = append(cell.Apps, ca)
+						return &rr.Apps[ai].Metrics
+					})})
 			}
-			for _, d := range perRun {
-				d := d
-				get := func(k int) (float64, bool) {
-					rr := runAt(si, pi, k)
-					if rr == nil {
-						return 0, false
-					}
-					return rr.Metrics.Get(d.Name)
-				}
-				var getBase func(k int) (float64, bool)
-				if baselineIdx >= 0 {
-					getBase = func(k int) (float64, bool) {
-						rr := runAt(si, baselineIdx, k)
-						if rr == nil {
-							return 0, false
-						}
-						return rr.Metrics.Get(d.Name)
-					}
-				}
-				if cm := collectMetric(d, n, get, getBase); cm != nil {
-					cell.Metrics = append(cell.Metrics, *cm)
-				}
-			}
+			cell.Metrics = metricsOf(si, pi, perRun, func(rr *RunResult) *metrics.Set { return &rr.Metrics })
 			cells = append(cells, cell)
 		}
 	}
