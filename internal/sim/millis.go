@@ -4,11 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Millis is a simulated duration that spec files spell as an integer
 // count of milliseconds ("at_ms": 120). The value is held in Time units
-// (Time(m) converts); only JSON decoding differs, so a domain type with
+// (Time(m) converts); only its JSON form differs, so a domain type with
 // Millis fields is its own spec-file schema.
 type Millis Time
 
@@ -30,6 +31,16 @@ func (m *Millis) UnmarshalJSON(data []byte) error {
 	}
 	*m = Millis(t)
 	return nil
+}
+
+// MarshalJSON writes the integer millisecond count UnmarshalJSON reads.
+// A duration that is not a whole number of milliseconds fails to
+// marshal; it is never rounded.
+func (m Millis) MarshalJSON() ([]byte, error) {
+	if Time(m)%Millisecond != 0 {
+		return nil, fmt.Errorf("%s is not a whole number of milliseconds", Time(m))
+	}
+	return strconv.AppendInt(nil, int64(Time(m)/Millisecond), 10), nil
 }
 
 // String formats the duration like Time.
