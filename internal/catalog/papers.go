@@ -32,7 +32,6 @@ func paperScenarios() map[string]func() scenario.Spec {
 func paperWorkloads() map[string]func() workload.AppSpec {
 	m := map[string]func() workload.AppSpec{}
 	for _, s := range workload.Suite() {
-		s := s
 		m[s.Name] = func() workload.AppSpec { return s }
 	}
 	return m

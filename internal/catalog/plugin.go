@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -75,13 +76,8 @@ func PolicyPlugins() []PolicyDesc {
 func lookupPlugin(alias string) *policyPlugin {
 	for i := range policyPlugins {
 		pl := &policyPlugins[i]
-		if pl.desc.Name == alias {
+		if pl.desc.Name == alias || slices.Contains(pl.desc.Aliases, alias) {
 			return pl
-		}
-		for _, a := range pl.desc.Aliases {
-			if a == alias {
-				return pl
-			}
 		}
 	}
 	return nil

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -50,7 +51,7 @@ func spellingNames() []string {
 // declaredKeys lists the parameters the plugin behind alias declares.
 func declaredKeys(alias string) []string {
 	for _, d := range PolicyPlugins() {
-		if d.Name == alias || contains(d.Aliases, alias) {
+		if d.Name == alias || slices.Contains(d.Aliases, alias) {
 			var keys []string
 			for _, p := range d.Params {
 				keys = append(keys, p.Name)
@@ -59,15 +60,6 @@ func declaredKeys(alias string) []string {
 		}
 	}
 	return nil
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 // verdict renders one resolution as "reject" or "accept <name>".
@@ -177,7 +169,7 @@ func FuzzPolicyGrammar(f *testing.F) {
 			return
 		}
 		for _, d := range PolicyPlugins() {
-			if (d.Name != alias && !contains(d.Aliases, alias)) || d.Positional == "" {
+			if (d.Name != alias && !slices.Contains(d.Aliases, alias)) || d.Positional == "" {
 				continue
 			}
 			b, berr := PolicyFromConfig(alias, map[string]any{d.Positional: v})
