@@ -35,7 +35,7 @@
 //	  "measure_ms": 2500
 //	}
 //
-// Every name resolves through the internal/catalog registries; -list
+// Every name resolves through the internal/catalog tables; -list
 // prints them. Progress goes to stderr; the aggregate table goes to
 // stdout.
 package main

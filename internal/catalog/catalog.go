@@ -87,7 +87,7 @@ var Topologies = NewRegistry("topology", map[string]func() *hw.Topology{
 	"xeon-e5-4603": hw.XeonE54603,
 })
 
-// TopologyByName returns a fresh copy of a registered machine.
+// TopologyByName returns a fresh copy of a catalog machine.
 func TopologyByName(name string) (*hw.Topology, error) {
 	f, err := Topologies.Lookup(name)
 	if err != nil {

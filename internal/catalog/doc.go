@@ -5,7 +5,7 @@ package catalog
 // policy plugins with their typed knobs, metrics, and any extra axes
 // its caller owns. aqlsweepd serves it as GET /v1/catalog
 // so clients can discover valid spec-file names without a binary in
-// hand; aqlsweep -list renders the same registries as text.
+// hand; aqlsweep -list renders the same tables as text.
 
 import "aqlsched/internal/metrics"
 
@@ -25,7 +25,7 @@ type Doc struct {
 	Axes       []ExtraAxis  `json:"axes,omitempty"`
 }
 
-// Document snapshots every registry, plus the extra axes given, into
+// Document snapshots every table, plus the extra axes given, into
 // one serializable Doc. Name lists are sorted, policies sort by
 // canonical name, metrics keep registration order (the artifact column
 // order).

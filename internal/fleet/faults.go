@@ -1,7 +1,7 @@
 // Failure injection: the fault plan turns host crashes, transient
 // degradation and migration failures into first-class fleet timeline
 // events, and the recovery policy re-places the victims of a dead host
-// through the regular Placement registry.
+// through the fleet's regular Placement.
 //
 // Determinism mirrors the population split: the fault schedule (which
 // host fails when, for how long) is a pure function of the plan and its

@@ -2,7 +2,7 @@ package scenario
 
 // The policy axis carries a typed-parameter model: a policy declares
 // its knobs (name, kind, range, default) as ParamDesc values, and the
-// catalog's plugin registry turns the declarations into a parse
+// catalog's policy table turns the declarations into a parse
 // grammar ("fixed:5ms", "aql:window=8"), spec-file validation for
 // {"policy": {"name": ..., "params": {...}}} blocks, and -list
 // self-documentation. The descriptors are JSON-taggable so tooling can

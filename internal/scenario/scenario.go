@@ -18,8 +18,8 @@ import (
 
 // Policy configures the scheduler under test after deployment. The
 // baselines package provides implementations. A policy's typed knobs
-// are declared as ParamDesc values (params.go) at plugin-registration
-// time; see internal/catalog.RegisterPolicyPlugin.
+// are declared as ParamDesc values (params.go) in its entry of the
+// catalog's policy table (internal/catalog's policyPlugins).
 type Policy interface {
 	Name() string
 	Setup(h *xen.Hypervisor, deps []*workload.Deployment)

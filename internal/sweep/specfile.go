@@ -25,7 +25,7 @@ import (
 // "xeon-e5-4603"}), or inline generator blocks ({"gen": {...}}); see
 // ScenarioRef. Policy entries use the catalog grammar understood by
 // catalog.PolicyByName. Topology references resolve against the file's
-// own "topologies" section first, then the shared registry.
+// own "topologies" section first, then the catalog's machine table.
 type File struct {
 	Name string `json:"name"`
 	// Topologies defines machines inline, by builder parameters; their
@@ -53,7 +53,7 @@ type ScenarioRef struct {
 	// Name references a catalog scenario.
 	Name string `json:"name,omitempty"`
 	// Topology moves the named scenario onto another machine (a
-	// file-local or registered topology). The scenario keeps its VM
+	// file-local or catalog topology). The scenario keeps its VM
 	// population but runs on all pCPUs of the new machine; the axis
 	// point is renamed "<name>@<topology>".
 	Topology string `json:"topology,omitempty"`
@@ -81,8 +81,8 @@ func (r *ScenarioRef) UnmarshalJSON(data []byte) error {
 
 // PolicyRef is one policy-axis entry of a spec file. In JSON it is
 // either a grammar string ("aql", "fixed:5ms", "edf:deadline=10ms") or
-// a structured block resolved through the plugin registry's typed
-// parameter validation:
+// a structured block whose param values parse exactly like grammar
+// text ("window": 8 is aql:window=8):
 //
 //	{"policy": {"name": "edf", "params": {"deadline": "10ms"}}}
 type PolicyRef struct {
@@ -93,8 +93,8 @@ type PolicyRef struct {
 }
 
 // PolicyBlock is the structured policy spelling: a plugin name plus
-// its typed parameters (numbers for int/float knobs, duration strings
-// like "10ms" for duration knobs).
+// its typed parameters (numbers or strings for int knobs, duration
+// strings like "10ms" for duration knobs).
 type PolicyBlock struct {
 	Name   string         `json:"name"`
 	Params map[string]any `json:"params,omitempty"`
@@ -140,7 +140,7 @@ func (r PolicyRef) resolve() (Policy, error) {
 // the seed to the file's base seed.
 type GenBlock struct {
 	scenario.GenSpec
-	// Topology names the machine (file-local or registered; default
+	// Topology names the machine (file-local or catalog; default
 	// "i7-3770").
 	Topology string `json:"topology,omitempty"`
 	// Apps pins named catalog workloads into the population (one VM
@@ -159,7 +159,7 @@ type GenBlock struct {
 // tenant weight map.
 type FleetBlock struct {
 	fleet.Spec
-	// Topology names the per-host machine (file-local or registered;
+	// Topology names the per-host machine (file-local or catalog;
 	// default "i7-3770").
 	Topology string `json:"topology,omitempty"`
 	// Placement lists the placement policies to sweep; a bare string is
@@ -210,7 +210,7 @@ func Load(path string) (*Spec, error) {
 }
 
 // topology resolves a machine reference: the file's inline topologies
-// shadow the shared registry.
+// shadow the catalog's machine table.
 func (f *File) topology(name string) (*hw.Topology, error) {
 	if b, ok := f.Topologies[name]; ok {
 		t, err := b.Build()
