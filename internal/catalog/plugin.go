@@ -115,8 +115,9 @@ func PolicyByName(name string) (Policy, error) {
 // {"policy": {"name": ..., "params": {...}}} block: name is a plugin
 // alias (no ":" arguments) and params holds decoded JSON values. Each
 // value parses exactly like grammar text: a string as is, a number as
-// its shortest decimal spelling ("window": 8 is aql:window=8), and
-// anything else as fmt.Sprint renders it, which no kind accepts.
+// its shortest decimal spelling ("window": 8 is aql:window=8), and any
+// other JSON value (true, null, an array or object) as fmt.Sprint
+// renders it, which no kind accepts.
 func PolicyFromConfig(name string, raw map[string]any) (Policy, error) {
 	if strings.Contains(name, ":") {
 		return Policy{}, fmt.Errorf("catalog: policy block name %q may not carry %q arguments; use the params object", name, ":")
