@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -50,14 +49,8 @@ func spellingNames() []string {
 
 // declaredKeys lists the parameters the plugin behind alias declares.
 func declaredKeys(alias string) []string {
-	for _, d := range PolicyPlugins() {
-		if d.Name == alias || slices.Contains(d.Aliases, alias) {
-			var keys []string
-			for _, p := range d.Params {
-				keys = append(keys, p.Name)
-			}
-			return keys
-		}
+	if pl := lookupPlugin(alias); pl != nil {
+		return pl.paramNames()
 	}
 	return nil
 }
@@ -168,15 +161,14 @@ func FuzzPolicyGrammar(f *testing.F) {
 		if !ok || strings.ContainsAny(v, ",=") {
 			return
 		}
-		for _, d := range PolicyPlugins() {
-			if (d.Name != alias && !slices.Contains(d.Aliases, alias)) || d.Positional == "" {
-				continue
-			}
-			b, berr := PolicyFromConfig(alias, map[string]any{d.Positional: v})
-			if (err == nil) != (berr == nil) || (err == nil && b.Name != p.Name) {
-				t.Fatalf("%q gives %s, the block {%q: %q} gives %s",
-					s, verdict(p, err), d.Positional, v, verdict(b, berr))
-			}
+		pl := lookupPlugin(alias)
+		if pl == nil || pl.desc.Positional == "" {
+			return
+		}
+		b, berr := PolicyFromConfig(alias, map[string]any{pl.desc.Positional: v})
+		if (err == nil) != (berr == nil) || (err == nil && b.Name != p.Name) {
+			t.Fatalf("%q gives %s, the block {%q: %q} gives %s",
+				s, verdict(p, err), pl.desc.Positional, v, verdict(b, berr))
 		}
 	})
 }
