@@ -1,7 +1,9 @@
 package catalog
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,47 +47,92 @@ func TestPluginOutOfRange(t *testing.T) {
 	}
 }
 
-// TestPolicyTable checks every declaration of the policy table: names
-// and aliases are non-empty, unique and free of ":", each parameter is
-// named once with a known kind, the positional parameter is declared,
-// defaults and bounds parse under their kind, and only int parameters
-// declare bounds.
-func TestPolicyTable(t *testing.T) {
+// policyTableProblems checks every declaration of a policy table and
+// returns one line per fault: names and aliases are non-empty, unique
+// and free of ":", each parameter is named once with a known kind, the
+// positional parameter is declared, defaults and bounds parse under
+// their kind, and only int parameters declare bounds.
+func policyTableProblems(table []policyPlugin) []string {
+	var out []string
 	seen := map[string]bool{}
-	for _, pl := range policyPlugins {
+	for _, pl := range table {
 		d := pl.desc
 		if pl.build == nil {
-			t.Errorf("policy %q has no build function", d.Name)
+			out = append(out, fmt.Sprintf("policy %q has no build function", d.Name))
 		}
 		for _, alias := range append([]string{d.Name}, d.Aliases...) {
 			if alias == "" || strings.Contains(alias, ":") || seen[alias] {
-				t.Errorf("policy %q: alias %q is empty, holds \":\" or is taken", d.Name, alias)
+				out = append(out, fmt.Sprintf("policy %q: alias %q is empty, holds \":\" or is taken", d.Name, alias))
 			}
 			seen[alias] = true
 		}
 		params := map[string]bool{}
 		for _, p := range d.Params {
 			if p.Name == "" || params[p.Name] {
-				t.Errorf("policy %q: parameter %q is unnamed or declared twice", d.Name, p.Name)
+				out = append(out, fmt.Sprintf("policy %q: parameter %q is unnamed or declared twice", d.Name, p.Name))
 			}
 			params[p.Name] = true
 			if p.Kind != scenario.ParamInt && p.Kind != scenario.ParamDuration {
-				t.Errorf("policy %q parameter %q has unknown kind %q", d.Name, p.Name, p.Kind)
+				out = append(out, fmt.Sprintf("policy %q parameter %q has unknown kind %q", d.Name, p.Name, p.Kind))
 			}
 			if p.Kind != scenario.ParamInt && (p.Min != "" || p.Max != "") {
-				t.Errorf("policy %q parameter %q: only int parameters may declare bounds", d.Name, p.Name)
+				out = append(out, fmt.Sprintf("policy %q parameter %q: only int parameters may declare bounds", d.Name, p.Name))
 			}
 			for _, txt := range []string{p.Default, p.Min, p.Max} {
 				if txt == "" {
 					continue
 				}
 				if _, err := coerceText(p, txt); err != nil {
-					t.Errorf("policy %q parameter %q: bad declaration value %q: %v", d.Name, p.Name, txt, err)
+					out = append(out, fmt.Sprintf("policy %q parameter %q: bad declaration value %q: %v", d.Name, p.Name, txt, err))
 				}
 			}
 		}
 		if d.Positional != "" && !params[d.Positional] {
-			t.Errorf("policy %q: positional %q is not a declared parameter", d.Name, d.Positional)
+			out = append(out, fmt.Sprintf("policy %q: positional %q is not a declared parameter", d.Name, d.Positional))
+		}
+	}
+	return out
+}
+
+// TestPolicyTable: the real policy table passes every declaration check.
+func TestPolicyTable(t *testing.T) {
+	for _, problem := range policyTableProblems(policyPlugins) {
+		t.Error(problem)
+	}
+}
+
+// TestPluginDuplicateRegistration: an entry whose name or alias is
+// already taken by the policy table is reported.
+func TestPluginDuplicateRegistration(t *testing.T) {
+	cases := []PolicyDesc{
+		{Name: "xen"}, // canonical name taken
+		{Name: "zz-fresh", Aliases: []string{"xen-credit"}}, // alias taken
+	}
+	for _, desc := range cases {
+		table := append(slices.Clone(policyPlugins), policyPlugin{desc, func(Params) Policy { return XenPolicy() }})
+		if len(policyTableProblems(table)) == 0 {
+			t.Errorf("adding %+v to the policy table passed the checks", desc)
+		}
+	}
+}
+
+// TestPluginDescValidation: broken descriptors (undeclared positional,
+// ":" in an alias, unparsable default or bound, unknown kind, a bound on
+// a duration, no build function) are reported.
+func TestPluginDescValidation(t *testing.T) {
+	build := func(Params) Policy { return XenPolicy() }
+	cases := []policyPlugin{
+		{PolicyDesc{Name: "zz-a", Positional: "ghost"}, build},
+		{PolicyDesc{Name: "zz-b", Aliases: []string{"zz:b"}}, build},
+		{PolicyDesc{Name: "zz-c", Params: []scenario.ParamDesc{{Name: "q", Kind: scenario.ParamDuration, Default: "zebra"}}}, build},
+		{PolicyDesc{Name: "zz-d", Params: []scenario.ParamDesc{{Name: "n", Kind: scenario.ParamInt, Min: "high"}}}, build},
+		{PolicyDesc{Name: "zz-e", Params: []scenario.ParamDesc{{Name: "x", Kind: "blob"}}}, build},
+		{PolicyDesc{Name: "zz-f", Params: []scenario.ParamDesc{{Name: "q", Kind: scenario.ParamDuration, Max: "5ms"}}}, build},
+		{PolicyDesc{Name: "zz-g"}, nil},
+	}
+	for _, pl := range cases {
+		if len(policyTableProblems([]policyPlugin{pl})) == 0 {
+			t.Errorf("policy %+v passed the checks", pl.desc)
 		}
 	}
 }
