@@ -139,6 +139,37 @@ func TestParseQuantum(t *testing.T) {
 	}
 }
 
+// refusedDurations are policy spellings whose duration is positive but
+// not a whole number of microseconds, the resolution of simulated time.
+var refusedDurations = []string{"fixed:1.9us", "hetero-aql:2500ns", "fixed:999ns"}
+
+// TestDurationsAreWholeMicroseconds: a finer duration is refused, not
+// truncated into a different axis point (fixed:1.9us used to run as
+// fixed-1µs).
+func TestDurationsAreWholeMicroseconds(t *testing.T) {
+	for _, s := range refusedDurations {
+		if p, err := PolicyByName(s); err == nil || !strings.Contains(err.Error(), "want a whole number of microseconds") {
+			t.Errorf("%s resolved to %q, %v; want a whole-microseconds error", s, p.Name, err)
+		}
+	}
+	if p, err := PolicyByName("fixed:90us"); err != nil || p.Name != "fixed-90µs" {
+		t.Errorf("fixed:90us resolved to %q, %v; want fixed-90µs", p.Name, err)
+	}
+}
+
+// TestBadDurationNamesParameter: a bad duration parameter names itself,
+// in both policy spellings, as an int parameter does.
+func TestBadDurationNamesParameter(t *testing.T) {
+	_, err := PolicyByName("edf:deadline=zebra")
+	if err == nil || !strings.HasPrefix(err.Error(), `catalog: bad deadline "zebra": `) {
+		t.Errorf("edf:deadline=zebra: %v", err)
+	}
+	_, err = PolicyFromConfig("hetero-aql", map[string]any{"fast_q": nil})
+	if err == nil || !strings.HasPrefix(err.Error(), `catalog: bad fast_q "<nil>": `) {
+		t.Errorf(`hetero-aql {"fast_q": null}: %v`, err)
+	}
+}
+
 func TestAQLWindowPolicyGrammar(t *testing.T) {
 	p, err := PolicyByName("aql-w:2")
 	if err != nil {

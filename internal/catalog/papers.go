@@ -1,7 +1,7 @@
 package catalog
 
 import (
-	"fmt"
+	"errors"
 	"time"
 
 	"aqlsched/internal/baselines"
@@ -188,15 +188,19 @@ func FixedPolicy(q sim.Time) Policy {
 	return policy(func() scenario.Policy { return baselines.FixedQuantum{Q: q} })
 }
 
-// ParseQuantum parses a quantum duration argument ("10ms", "90ms").
+// ParseQuantum parses a policy duration ("10ms", "90us"). Simulated
+// time counts whole microseconds, so a duration that is not a positive
+// whole number of them is refused rather than truncated. The error says
+// only what is wrong with s; the caller names the parameter.
 func ParseQuantum(s string) (sim.Time, error) {
 	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, fmt.Errorf("catalog: bad quantum %q: %v", s, err)
+	switch {
+	case err != nil:
+		return 0, err
+	case d%time.Microsecond != 0:
+		return 0, errors.New("want a whole number of microseconds")
+	case d <= 0:
+		return 0, errors.New("must be positive")
 	}
-	q := sim.Time(d / time.Microsecond)
-	if q <= 0 {
-		return 0, fmt.Errorf("catalog: quantum %q must be positive", s)
-	}
-	return q, nil
+	return sim.Time(d / time.Microsecond), nil
 }

@@ -263,7 +263,11 @@ func (pl *policyPlugin) finish(params Params) (Policy, error) {
 // kind.
 func coerceText(d scenario.ParamDesc, raw string) (any, error) {
 	if d.Kind == scenario.ParamDuration {
-		return ParseQuantum(raw)
+		q, err := ParseQuantum(raw)
+		if err != nil {
+			return nil, fmt.Errorf("catalog: bad %s %q: %v", d.Name, raw, err)
+		}
+		return q, nil
 	}
 	n, err := strconv.ParseInt(raw, 10, 64)
 	if err != nil {

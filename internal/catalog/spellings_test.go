@@ -146,6 +146,9 @@ func FuzzPolicyGrammar(f *testing.F) {
 			f.Add(name + arg)
 		}
 	}
+	for _, s := range append(refusedDurations, "edf:deadline=zebra") {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, s string) {
 		p, err := PolicyByName(s)
 		if err == nil {

@@ -37,7 +37,10 @@ import (
 // VCPUInfo is the clustering input for one vCPU: its recognized type
 // and its trashing (LLCO cursor) intensity.
 type VCPUInfo struct {
+	// V points at the vCPU while a plan is built and applied; a finished
+	// run's layout names it by VM alone (core.Controller.Release).
 	V       *xen.VCPU
+	VM      string // the vCPU's domain name
 	Type    vcputype.Type
 	LLCOAvg float64
 }

@@ -83,12 +83,29 @@ func (c *Controller) Infos() []cluster.VCPUInfo {
 		for _, v := range d.VCPUs {
 			infos = append(infos, cluster.VCPUInfo{
 				V:       v,
+				VM:      d.Name,
 				Type:    c.Monitor.TypeOf(v),
 				LLCOAvg: c.Monitor.TrashingCursor(v),
 			})
 		}
 	}
 	return infos
+}
+
+// Release drops the controller's references into the simulation it
+// drove (the hypervisor, the vTRS monitor, LastPlan's vCPU pointers),
+// so a finished run's controller does not keep that simulation alive.
+// Reclusters and LastPlan's layout stay readable; the controller cannot
+// run again.
+func (c *Controller) Release() {
+	c.H, c.Monitor = nil, nil
+	if c.LastPlan != nil {
+		for _, cl := range c.LastPlan.Clusters {
+			for i := range cl.Members {
+				cl.Members[i].V = nil
+			}
+		}
+	}
 }
 
 // onPeriod runs after each monitoring period; every c.every periods

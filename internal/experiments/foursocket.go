@@ -95,7 +95,7 @@ func Fig6Right(cfg Config) *Fig6RightResult {
 		sums := map[string]float64{}
 		counts := map[string]int{}
 		for _, m := range c.Members {
-			if v, ok := norm[m.V.Domain.Name]; ok {
+			if v, ok := norm[m.VM]; ok {
 				sums[m.Variant()] += v
 				counts[m.Variant()]++
 			}

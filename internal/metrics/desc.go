@@ -3,7 +3,7 @@ package metrics
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
+	"slices"
 )
 
 // Direction classifies how a metric's value relates to "better". It
@@ -157,23 +157,21 @@ func (d Desc) Schema() Schema {
 // --- Registry --------------------------------------------------------------
 
 var (
-	regMu     sync.RWMutex
 	regOrder  []string
 	regByName = map[string]Desc{}
 )
 
-// Register adds a Desc to the package registry and returns it (so
-// clients can bind the result to a package-level var and Put through
-// it). Registration happens from init functions; the registration
-// order — deterministic for a given binary — is the emission order of
-// every schema-driven artifact. Empty or duplicate names panic: a
-// collision is a programming error, not an input error.
+// Register adds a Desc to the package registry and returns it, so a
+// client binds the result to a package-level var and Puts through it.
+// Only package initialization may call it: the registry is read
+// without a lock. The registration order — deterministic for a given
+// binary — is the emission order of every schema-driven artifact.
+// Empty or duplicate names panic: a collision is a programming error,
+// not an input error.
 func Register(d Desc) Desc {
 	if d.Name == "" {
 		panic("metrics: Register with empty name")
 	}
-	regMu.Lock()
-	defer regMu.Unlock()
 	if _, dup := regByName[d.Name]; dup {
 		panic(fmt.Sprintf("metrics: %q registered twice", d.Name))
 	}
@@ -184,8 +182,6 @@ func Register(d Desc) Desc {
 
 // Descs lists every registered Desc in registration order.
 func Descs() []Desc {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	out := make([]Desc, len(regOrder))
 	for i, n := range regOrder {
 		out[i] = regByName[n]
@@ -195,8 +191,6 @@ func Descs() []Desc {
 
 // DescByName finds a registered Desc.
 func DescByName(name string) (Desc, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	d, ok := regByName[name]
 	return d, ok
 }
@@ -209,9 +203,27 @@ func DescByName(name string) (Desc, bool) {
 // simply absent, which is how "failed measurement" is represented —
 // aggregation walks the union of present metrics and skips absences.
 // The zero Set is empty and ready to use.
+//
+// A Set is one slice, and a set holds a couple of dozen metrics at
+// most, so lookups scan it. Copies of a Set share that slice: never
+// Put through two copies of one Set.
 type Set struct {
-	names []string
-	vals  map[string]float64
+	entries []setEntry
+}
+
+// setEntry is one measurement, and its JSON shape.
+type setEntry struct {
+	Name  string  `json:"name"`
+	Value float64 `json:"value"`
+}
+
+func (s Set) find(name string) int {
+	for i := range s.entries {
+		if s.entries[i].Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Put records a measurement under its Desc. Re-putting a name
@@ -220,48 +232,43 @@ func (s *Set) Put(d Desc, v float64) {
 	if _, registered := DescByName(d.Name); !registered {
 		panic(fmt.Sprintf("metrics: Put of unregistered metric %q", d.Name))
 	}
-	if s.vals == nil {
-		// Presized for the typical probe footprint: measurement sets
-		// carry a handful of metrics, and growing a map bucket-by-bucket
-		// showed up as a measurable slice of the allocation profile.
-		s.vals = make(map[string]float64, 8)
-		if s.names == nil {
-			s.names = make([]string, 0, 8)
-		}
+	if i := s.find(d.Name); i >= 0 {
+		s.entries[i].Value = v
+		return
 	}
-	if _, dup := s.vals[d.Name]; !dup {
-		s.names = append(s.names, d.Name)
-	}
-	s.vals[d.Name] = v
+	s.entries = append(s.entries, setEntry{Name: d.Name, Value: v})
 }
 
 // Get reports the value recorded under name.
 func (s Set) Get(name string) (float64, bool) {
-	v, ok := s.vals[name]
-	return v, ok
+	if i := s.find(name); i >= 0 {
+		return s.entries[i].Value, true
+	}
+	return 0, false
 }
 
 // Has reports whether name was recorded.
-func (s Set) Has(name string) bool {
-	_, ok := s.vals[name]
-	return ok
-}
+func (s Set) Has(name string) bool { return s.find(name) >= 0 }
 
 // Names lists the recorded metric names in insertion order.
 func (s Set) Names() []string {
-	return append([]string(nil), s.names...)
+	out := make([]string, len(s.entries))
+	for i, e := range s.entries {
+		out[i] = e.Name
+	}
+	return out
 }
 
 // Len reports how many metrics were recorded.
-func (s Set) Len() int { return len(s.names) }
+func (s Set) Len() int { return len(s.entries) }
 
 // Primary returns the Set's primary performance metric (the value the
 // paper's figures normalize), or ok=false when the measurement failed
 // and no primary metric was recorded.
 func (s Set) Primary() (Desc, float64, bool) {
-	for _, n := range s.names {
-		if d, ok := DescByName(n); ok && d.Primary {
-			return d, s.vals[n], true
+	for _, e := range s.entries {
+		if d, ok := DescByName(e.Name); ok && d.Primary {
+			return d, e.Value, true
 		}
 	}
 	return Desc{}, 0, false
@@ -270,34 +277,19 @@ func (s Set) Primary() (Desc, float64, bool) {
 // Equal reports whether two sets hold the same metrics, in the same
 // order, with identical values (sim determinism tests compare Sets).
 func (s Set) Equal(o Set) bool {
-	if len(s.names) != len(o.names) {
-		return false
-	}
-	for i, n := range s.names {
-		if o.names[i] != n || s.vals[n] != o.vals[n] {
-			return false
-		}
-	}
-	return true
-}
-
-// setEntry is the JSON shape of one Set measurement.
-type setEntry struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
+	return slices.Equal(s.entries, o.entries)
 }
 
 // MarshalJSON encodes the Set as an ordered array of {name, value}
 // pairs, preserving insertion order so a marshal/unmarshal round trip
 // reproduces the Set exactly (Equal). Go's float64 JSON encoding
 // round-trips bit-exactly, which is what lets the sweep journal restore
-// byte-identical artifacts.
+// byte-identical artifacts. An empty Set encodes as [].
 func (s Set) MarshalJSON() ([]byte, error) {
-	out := make([]setEntry, len(s.names))
-	for i, n := range s.names {
-		out[i] = setEntry{Name: n, Value: s.vals[n]}
+	if s.entries == nil {
+		return []byte("[]"), nil
 	}
-	return json.Marshal(out)
+	return json.Marshal(s.entries)
 }
 
 // UnmarshalJSON decodes the array form. Every name must resolve in the

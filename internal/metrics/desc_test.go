@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -184,5 +185,80 @@ func TestSetUnmarshalRejectsUnknownMetric(t *testing.T) {
 	err := json.Unmarshal([]byte(`[{"name": "test_not_registered", "value": 1}]`), &s)
 	if err == nil || !strings.Contains(err.Error(), "unknown metric") {
 		t.Fatalf("unknown metric accepted: %v", err)
+	}
+}
+
+// twelve are the metrics of a full run-scoped Set: the hypervisor
+// counters, the adaptation diagnostics and EDF's deadline accounting
+// make twelve.
+var twelve = func() []Desc {
+	out := make([]Desc, 12)
+	for i := range out {
+		out[i] = Register(Desc{Name: fmt.Sprintf("test_m%02d", i), Unit: "count", Scope: PerRun})
+	}
+	return out
+}()
+
+// twelveValues exercise every float64 JSON form: integers, fractions
+// without a finite decimal expansion, exponents either side, and a
+// negative zero.
+var twelveValues = []float64{0, 1, -2.5, 1.0 / 3, 123456789, 1e21, 1e-7, 0.1, math.Copysign(0, -1), 42, 2.5e-3, 1e20}
+
+func buildTwelve() Set {
+	var s Set
+	for i, d := range twelve {
+		s.Put(d, twelveValues[i])
+	}
+	return s
+}
+
+// TestSetMarshalPinned: a Set marshals to the bytes journal checkpoints
+// have always held, so journals written before a change to the Set's
+// representation still resume to identical artifacts.
+func TestSetMarshalPinned(t *testing.T) {
+	data, err := json.Marshal(buildTwelve())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `[{"name":"test_m00","value":0},{"name":"test_m01","value":1},{"name":"test_m02","value":-2.5},` +
+		`{"name":"test_m03","value":0.3333333333333333},{"name":"test_m04","value":123456789},` +
+		`{"name":"test_m05","value":1e+21},{"name":"test_m06","value":1e-7},{"name":"test_m07","value":0.1},` +
+		`{"name":"test_m08","value":-0},{"name":"test_m09","value":42},{"name":"test_m10","value":0.0025},` +
+		`{"name":"test_m11","value":100000000000000000000}]`
+	if string(data) != want {
+		t.Errorf("12-metric Set marshals to\n%s\nwant\n%s", data, want)
+	}
+	empty, err := json.Marshal(Set{})
+	if err != nil || string(empty) != "[]" {
+		t.Errorf("empty Set marshals to %s, %v; want []", empty, err)
+	}
+	var back Set
+	if err := json.Unmarshal([]byte("[]"), &back); err != nil || back.Len() != 0 {
+		t.Errorf("[] unmarshals to %v, %v", back.Names(), err)
+	}
+	if empty, _ := json.Marshal(back); string(empty) != "[]" {
+		t.Errorf("a Set read from [] marshals to %s", empty)
+	}
+}
+
+// TestSetAllocations: lookups allocate nothing, and building a
+// 12-metric Set costs five allocations, the growth steps of one slice.
+func TestSetAllocations(t *testing.T) {
+	s := buildTwelve()
+	lookups := testing.AllocsPerRun(100, func() {
+		for _, d := range twelve {
+			if _, ok := s.Get(d.Name); !ok || !s.Has(d.Name) {
+				t.Fatalf("%s missing", d.Name)
+			}
+		}
+		if s.Has("test_missing") {
+			t.Fatal("test_missing present")
+		}
+	})
+	if lookups != 0 {
+		t.Errorf("Get and Has allocate %v times per pass, want 0", lookups)
+	}
+	if n := testing.AllocsPerRun(100, func() { buildTwelve() }); n != 5 {
+		t.Errorf("building a 12-metric Set allocates %v times, want 5", n)
 	}
 }

@@ -13,15 +13,13 @@ import (
 )
 
 // Histogram collects duration samples (e.g. request latencies).
+// Percentile sorts the samples in place; nothing reads them in arrival
+// order, and Mean, Max and Merge need only the multiset.
 type Histogram struct {
 	samples []sim.Time
 	sum     sim.Time
 	max     sim.Time
-	// sorted caches the sorted view Percentile works on; it is rebuilt
-	// lazily after Record/Reset invalidate it, so percentile scans over
-	// a settled histogram stop re-sorting the full sample set per call.
-	sorted []sim.Time
-	dirty  bool
+	sorted  bool // samples is in ascending order
 }
 
 // NewHistogram returns an empty histogram.
@@ -34,7 +32,7 @@ func (h *Histogram) Record(d sim.Time) {
 	if d > h.max {
 		h.max = d
 	}
-	h.dirty = true
+	h.sorted = false
 }
 
 // Reset discards all samples (used to cut off warm-up).
@@ -42,8 +40,7 @@ func (h *Histogram) Reset() {
 	h.samples = h.samples[:0]
 	h.sum = 0
 	h.max = 0
-	h.sorted = h.sorted[:0]
-	h.dirty = false
+	h.sorted = false
 }
 
 // Count reports the number of samples.
@@ -70,8 +67,8 @@ func (h *Histogram) Mean() sim.Time {
 func (h *Histogram) Max() sim.Time { return h.max }
 
 // Percentile reports the p-th percentile (0 < p <= 100),
-// nearest-rank. The sorted view is cached across calls and rebuilt
-// only after new samples arrive.
+// nearest-rank. It sorts the samples in place, once per batch of new
+// samples, so repeated calls over a settled histogram do not re-sort.
 func (h *Histogram) Percentile(p float64) sim.Time {
 	if len(h.samples) == 0 {
 		return 0
@@ -79,20 +76,18 @@ func (h *Histogram) Percentile(p float64) sim.Time {
 	if p <= 0 || p > 100 {
 		panic(fmt.Sprintf("metrics: percentile %v out of (0,100]", p))
 	}
-	if h.dirty || len(h.sorted) != len(h.samples) {
-		h.sorted = append(h.sorted[:0], h.samples...)
-		slices.Sort(h.sorted)
-		h.dirty = false
+	if !h.sorted {
+		slices.Sort(h.samples)
+		h.sorted = true
 	}
-	cp := h.sorted
-	idx := int(p/100*float64(len(cp))+0.5) - 1
+	idx := int(p/100*float64(len(h.samples))+0.5) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	if idx >= len(cp) {
-		idx = len(cp) - 1
+	if idx >= len(h.samples) {
+		idx = len(h.samples) - 1
 	}
-	return cp[idx]
+	return h.samples[idx]
 }
 
 // JobSnapshot is a (time, jobs-completed) pair for rate computation.

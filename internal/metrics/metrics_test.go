@@ -114,7 +114,7 @@ func TestHistogramInvariantsProperty(t *testing.T) {
 }
 
 // TestHistogramPercentileInterleavedWithRecord is the regression test
-// for the sorted-view cache: interleaving Record, Percentile and Reset
+// for the in-place sort: interleaving Record, Percentile and Reset
 // must always return nearest-rank-correct values, identical to a
 // freshly sorted copy.
 func TestHistogramPercentileInterleavedWithRecord(t *testing.T) {
@@ -139,8 +139,8 @@ func TestHistogramPercentileInterleavedWithRecord(t *testing.T) {
 		d := sim.Time(rng.Intn(10_000))
 		h.Record(d)
 		shadow = append(shadow, d)
-		// Query mid-stream every few records: the cache must be
-		// invalidated by the interleaved Record calls.
+		// Query mid-stream every few records: the interleaved Record
+		// calls must make the next Percentile sort again.
 		if i%7 == 0 {
 			for _, p := range ps {
 				if got, want := h.Percentile(p), naive(shadow, p); got != want {
@@ -148,7 +148,7 @@ func TestHistogramPercentileInterleavedWithRecord(t *testing.T) {
 				}
 			}
 		}
-		// Repeated queries on an unchanged histogram (cache-hit path).
+		// Repeated queries on an unchanged histogram (no re-sort).
 		if i%13 == 0 {
 			a := h.Percentile(95)
 			if b := h.Percentile(95); a != b {
@@ -171,4 +171,52 @@ func TestHistogramPercentileInterleavedWithRecord(t *testing.T) {
 			t.Errorf("post-reset P%v = %v, want %v", p, got, want)
 		}
 	}
+}
+
+// TestHistogramSortsInPlace: Percentile sorts the samples themselves,
+// so everything read after it — more samples, another Percentile, a
+// Merge out of the sorted histogram — must match a reference computed
+// from a copy of the samples in arrival order.
+func TestHistogramSortsInPlace(t *testing.T) {
+	nearestRank := func(samples []sim.Time, p float64) sim.Time {
+		cp := append([]sim.Time(nil), samples...)
+		sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
+		idx := int(p/100*float64(len(cp))+0.5) - 1
+		return cp[max(0, min(idx, len(cp)-1))]
+	}
+	check := func(stage string, h *Histogram, ref []sim.Time) {
+		t.Helper()
+		var sum, top sim.Time
+		for _, d := range ref {
+			sum += d
+			top = max(top, d)
+		}
+		if h.Count() != len(ref) || h.Mean() != sum/sim.Time(len(ref)) || h.Max() != top {
+			t.Errorf("%s: count %d mean %v max %v, want %d %v %v", stage, h.Count(), h.Mean(), h.Max(), len(ref), sum/sim.Time(len(ref)), top)
+		}
+		for _, p := range []float64{1, 25, 50, 90, 99, 100} {
+			if got, want := h.Percentile(p), nearestRank(ref, p); got != want {
+				t.Errorf("%s: P%v = %v, want %v", stage, p, got, want)
+			}
+		}
+	}
+
+	rng := sim.NewRNG(7)
+	h := NewHistogram()
+	var ref []sim.Time
+	record := func(n int) {
+		for i := 0; i < n; i++ {
+			d := sim.Time(rng.Intn(1000))
+			h.Record(d)
+			ref = append(ref, d)
+		}
+	}
+	record(200)
+	check("first batch", h, ref)
+	record(57) // lands after an already sorted prefix
+	check("second batch", h, ref)
+	merged := NewHistogram()
+	merged.Merge(h)
+	check("merged from the sorted histogram", merged, ref)
+	check("source after the merge", h, ref)
 }

@@ -199,9 +199,11 @@ func (s *Spec) Runs() []Run {
 
 // RunResult is the outcome of one run: the per-app and per-VM
 // measurement Sets plus the run-scoped metric Set (hypervisor
-// counters, adaptation diagnostics). Policy keeps the exact policy
-// instance used, so AQL runs expose their controller (see Controller).
-// Raw is retained only under Options.KeepRaw.
+// counters, adaptation diagnostics). Instance keeps the exact policy
+// instance used, so AQL runs expose their controller (see Controller)
+// with its last cluster layout, released from the simulation. Raw is
+// retained only under Options.KeepRaw and is the only field that
+// reaches the run's simulation.
 type RunResult struct {
 	Run
 	Apps  []scenario.AppMeasure
@@ -236,7 +238,9 @@ type Options struct {
 	// Progress, when non-nil, receives one line per completed run.
 	Progress io.Writer
 	// KeepRaw retains every run's full *scenario.Result (hypervisor,
-	// deployments). Costly on big grids; off by default.
+	// deployments) in RunResult.Raw, the only field that reaches a
+	// run's simulation. Costly on big grids; off by default. A caller
+	// that drops Raw (say, in OnRun) frees the run.
 	KeepRaw bool
 	// Journal, when non-nil, checkpoints every completed run and skips
 	// runs the journal already holds — the crash-safe resume path.
@@ -497,13 +501,12 @@ func execOne(spec *Spec, run Run, opts Options) (rr RunResult) {
 	rr.Instance = pol
 	if opts.KeepRaw {
 		rr.Raw = res
-	} else if ctl := rr.Controller(); ctl != nil {
-		// Keep the controller's diagnostics (LastPlan, Reclusters) but
-		// release the hypervisor and monitoring history it anchors —
-		// otherwise every AQL run would pin a full simulation graph,
-		// defeating the point of KeepRaw being opt-in.
-		ctl.H = nil
-		ctl.Monitor = nil
+	}
+	if ctl := rr.Controller(); ctl != nil {
+		// Raw is the only handle on the simulation: the controller keeps
+		// its diagnostics (LastPlan's layout, Reclusters) and lets go of
+		// the rest, so a caller that drops Raw frees the run.
+		ctl.Release()
 	}
 	return rr
 }
